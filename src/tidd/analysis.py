@@ -11,14 +11,14 @@ Sampling draws an assignment with probability proportional to its value: a
 top state is drawn by weight W(q) = V(q) * pathcount(q), then one incoming
 transition per level, then uniform bits at DontCare leaves.  Draws against
 irrational exact weights use 128-bit-mantissa fixed-point approximations of
-the cumulative weights; sign checks stay exact.
+the cumulative weights over one common denominator; sign checks stay exact.
 """
 
 from __future__ import annotations
 
 from random import Random
 
-from .core import FORK, Layer, Tidd
+from .core import FORK, PATH_COUNTS, Layer, Tidd
 from .errors import NegativeWeight, ZeroDistribution
 
 PathCountAnnotation = tuple[tuple[int, ...], ...]
@@ -28,8 +28,8 @@ _FIXED_POINT_BITS = 128
 
 def layer_path_counts(top: Layer) -> PathCountAnnotation:
     """Counts per level (level 0 first), cached on the manager."""
-    cache = top.manager.path_count_cache
-    hit = cache.get(top)
+    mgr = top.manager
+    hit = mgr.lookup(mgr.path_count_cache, top, PATH_COUNTS)
     if hit is not None:
         return hit
     layers = top.stack()
@@ -43,7 +43,7 @@ def layer_path_counts(top: Layer) -> PathCountAnnotation:
                 counts[q] += below[a] * below[b]
         per_level.append(tuple(counts))
     result = tuple(per_level)
-    cache[top] = result
+    mgr.path_count_cache[top] = result
     return result
 
 
@@ -59,14 +59,16 @@ def top_path_counts(f: Tidd) -> tuple[int, ...]:
 def sample_weights(f: Tidd) -> list[int]:
     """Fixed-point top-state weights W(q) = V(q) * pathcount(q).
 
-    Raises NegativeWeight if any top value is exactly negative.
+    All weights share the denominator 2**(128 + k), k the largest top-value
+    exponent.  Raises NegativeWeight if any top value is exactly negative.
     """
     counts = top_path_counts(f)
+    k = max(v.k for v in f.values)
     weights = []
     for v, c in zip(f.values, counts):
         if v.sign() < 0:
             raise NegativeWeight(f"top value {v!r} is negative")
-        weights.append(v.fixed_point(_FIXED_POINT_BITS) * c)
+        weights.append((v.fixed_point(_FIXED_POINT_BITS) << (k - v.k)) * c)
     return weights
 
 

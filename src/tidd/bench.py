@@ -22,7 +22,7 @@ from random import Random
 
 from .core import Manager, SizeReport, Tidd, size_metrics
 from .errors import GateSpecError, NotPowerOfTwo, ZeroDistribution
-from .linalg import MatrixTidd, VectorTidd, matvec, vector_from_basis_state
+from .linalg import MatrixTidd, VectorTidd, identity_matrix, matvec, vector_from_basis_state
 from .analysis import sample
 from .builders import from_truth_table
 from .ops import apply, kronecker
@@ -69,12 +69,6 @@ def _level1_matrix(mgr: Manager, entries) -> Tidd:
     return from_truth_table(mgr, 1, entries)
 
 
-def _identity_span(mgr: Manager, qubits: int) -> Tidd:
-    from .builders import equality_relation
-
-    return equality_relation(mgr, qubits.bit_length())
-
-
 def _kron_span(mgr: Manager, factors: dict[int, Tidd], lo: int, hi: int) -> Tidd:
     """Balanced tensor fold of per-qubit 2x2 factors over qubits [lo, hi).
 
@@ -82,7 +76,7 @@ def _kron_span(mgr: Manager, factors: dict[int, Tidd], lo: int, hi: int) -> Tidd
     O(log n) tensor products rather than O(n).
     """
     if not any(lo <= i < hi for i in factors):
-        return _identity_span(mgr, hi - lo)
+        return identity_matrix(mgr, hi - lo).t
     if hi - lo == 1:
         return factors[lo]
     mid = (lo + hi) // 2
@@ -242,12 +236,21 @@ def metrics_csv_header() -> str:
     return "algo,qubits,seed,gates,final_nodes,final_edges,final_total,max_intermediate,wall_seconds"
 
 
+def metrics_fields(algo: str, qubits: int, seed: int, metrics: RunMetrics) -> list:
+    """The metrics row as typed fields; wall_seconds is rounded to microseconds."""
+    f = metrics.final_size
+    return [
+        algo, qubits, seed, metrics.gate_count, f.nodes, f.edges, f.total,
+        metrics.max_intermediate_size, round(metrics.wall_time, 6),
+    ]
+
+
+def csv_line(fields) -> str:
+    """Comma-joined fields; floats (timings) print with six decimals."""
+    return ",".join(f"{x:.6f}" if isinstance(x, float) else str(x) for x in fields)
+
+
 def metrics_csv_row(
     algo: str, qubits: int, seed: int, metrics: RunMetrics
 ) -> str:
-    f = metrics.final_size
-    return (
-        f"{algo},{qubits},{seed},{metrics.gate_count},"
-        f"{f.nodes},{f.edges},{f.total},"
-        f"{metrics.max_intermediate_size},{metrics.wall_time:.6f}"
-    )
+    return csv_line(metrics_fields(algo, qubits, seed, metrics))

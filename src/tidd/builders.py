@@ -19,7 +19,9 @@ from .errors import (
 from .ops import apply, canonical_tidd
 from .values import AND, FALSE, ONE, TRUE, Value, XOR, ZERO, as_value
 
-TRUTH_TABLE_MAX_VARS = 16
+# The one scale cap on dense enumeration: truth tables here and every table
+# the brute-force oracle builds.
+MAX_DENSE_VARS = 16
 
 
 def no_distinction_proto(mgr: Manager, level: int) -> Layer:
@@ -85,10 +87,8 @@ def from_truth_table(mgr: Manager, level: int, outputs) -> Tidd:
     big-endian order.  Built by reducing the exact-string stack, which merges
     identical sub-tables bottom-up with canonical renumbering.
     """
-    if (1 << level) > TRUTH_TABLE_MAX_VARS:
-        raise OracleScaleLimit(
-            f"truth tables limited to {TRUTH_TABLE_MAX_VARS} variables"
-        )
+    if (1 << level) > MAX_DENSE_VARS:
+        raise OracleScaleLimit(f"truth tables limited to {MAX_DENSE_VARS} variables")
     values = [as_value(v) for v in outputs]
     if len(values) != 1 << (1 << level):
         raise TruthTableLengthMismatch(

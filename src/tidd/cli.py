@@ -14,27 +14,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from random import Random
 
 from .analysis import sample as draw_sample
-from .bench import metrics_csv_header, metrics_csv_row, run_benchmark
+from .bench import csv_line, metrics_csv_header, metrics_fields, run_benchmark
 from .builders import anti_diagonal, equality_relation, hadamard_family
 from .core import Manager, size_metrics, total_states
 from .errors import TiddError
 from .oracle import run_equivalence_suite
 
-DEFAULT_ORACLE_MAX_VARS = 16
 MAX_ANTI_DIAGONAL = 8  # the n=16 diagram needs ~2^32 table entries
-
-
-def _oracle_cap() -> int:
-    raw = os.environ.get("TIDD_ORACLE_MAX_VARS", "")
-    try:
-        return int(raw) if raw else DEFAULT_ORACLE_MAX_VARS
-    except ValueError:
-        return DEFAULT_ORACLE_MAX_VARS
 
 
 def _emit(fmt: str, header: list[str], row: list) -> None:
@@ -42,7 +32,7 @@ def _emit(fmt: str, header: list[str], row: list) -> None:
         print(json.dumps(dict(zip(header, row))))
     else:
         print(",".join(header))
-        print(",".join(str(x) for x in row))
+        print(csv_line(row))
 
 
 def _build_family(mgr: Manager, kind: str, n: int):
@@ -70,10 +60,6 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cap = _oracle_cap()
-    if args.vars > cap:
-        print(f"error: --vars {args.vars} exceeds oracle cap {cap}", file=sys.stderr)
-        return 2
     mgr = Manager()
     passed, failed = run_equivalence_suite(mgr, args.vars, args.cases, args.seed)
     _emit(
@@ -87,13 +73,11 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     mgr = Manager()
     _, metrics = run_benchmark(mgr, args.algo, args.qubits, args.seed)
-    if args.format == "json":
-        header = metrics_csv_header().split(",")
-        row = metrics_csv_row(args.algo, args.qubits, args.seed, metrics).split(",")
-        print(json.dumps(dict(zip(header, row))))
-    else:
-        print(metrics_csv_header())
-        print(metrics_csv_row(args.algo, args.qubits, args.seed, metrics))
+    _emit(
+        args.format,
+        metrics_csv_header().split(","),
+        metrics_fields(args.algo, args.qubits, args.seed, metrics),
+    )
     return 0
 
 

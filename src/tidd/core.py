@@ -91,6 +91,16 @@ def check_canonical_order(table: Table) -> int:
     return next_new
 
 
+# The (hits, misses) keys of Manager.stats that each operation-cache read is
+# counted under.  MATMUL and MATMUL_STACK both read matmul_cache: a matmul
+# call's top layer pair, and the child pairs of the product stack below it.
+COUNTERS = tuple(
+    (f"{name}_hits", f"{name}_misses")
+    for name in ("pair_product", "apply", "kronecker", "matmul", "matmul_stack", "path_counts")
+)
+PAIR_PRODUCT, APPLY, KRONECKER, MATMUL, MATMUL_STACK, PATH_COUNTS = COUNTERS
+
+
 class Manager:
     """Owner of the interning table and all operation caches."""
 
@@ -101,18 +111,16 @@ class Manager:
         self.pair_cache: dict = {}
         self.apply_cache: dict = {}
         self.kron_cache: dict = {}
-        self.matmul_stack_cache: dict = {}
         self.matmul_cache: dict = {}
         self.triple_sums: dict = {}
         self.path_count_cache: dict = {}
-        self.stats = {
-            "pair_product_hits": 0,
-            "pair_product_misses": 0,
-            "apply_hits": 0,
-            "apply_misses": 0,
-            "matmul_hits": 0,
-            "matmul_misses": 0,
-        }
+        self.stats = {key: 0 for counter in COUNTERS for key in counter}
+
+    def lookup(self, cache: dict, key, counter: tuple[str, str]):
+        """``cache[key]`` or None (no result is None), counted under ``counter``."""
+        hit = cache.get(key)
+        self.stats[counter[hit is None]] += 1  # counter is (hits key, misses key)
+        return hit
 
     def _make_leaf(self, kind: str, num_states: int) -> Layer:
         layer = Layer(self, 0, kind, None, None, num_states)
@@ -154,9 +162,6 @@ class Manager:
         layer = Layer(self, child.level + 1, None, child, table, num_states)
         self._layers[key] = layer
         return layer
-
-    def layer_count(self) -> int:
-        return len(self._layers)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .analysis import top_path_counts
 from .builders import equality_relation, negation, projection
-from .core import FORK, Layer, Manager, Tidd, evaluate
+from .core import FORK, MATMUL, MATMUL_STACK, Layer, Manager, Tidd, evaluate
 from .errors import ShapeMismatch
 from .ops import apply, canonical_tidd
 from .values import AND, TIMES, Value, ZERO
@@ -138,15 +138,16 @@ def _bit_states(layer: Layer) -> tuple[int, int]:
     return (0, 1) if layer.kind == FORK else (0, 0)
 
 
-def _matmul_stack(a: Layer, b: Layer) -> tuple[Layer, tuple[TripleSum, ...]]:
+def _matmul_stack(a: Layer, b: Layer, counter) -> tuple[Layer, tuple[TripleSum, ...]]:
     """Product stack for two operand stacks; memoized on the handle pair.
 
     Returns the product layer at the operands' level plus the formal sum
-    tracked by each of its states.
+    tracked by each of its states.  The cache read counts under ``counter``:
+    MATMUL for a matmul call's top pair, MATMUL_STACK for the pairs below.
     """
     mgr = a.manager
     key = (a, b)
-    hit = mgr.matmul_stack_cache.get(key)
+    hit = mgr.lookup(mgr.matmul_cache, key, counter)
     if hit is not None:
         return hit
 
@@ -169,7 +170,7 @@ def _matmul_stack(a: Layer, b: Layer) -> tuple[Layer, tuple[TripleSum, ...]]:
             rows.append(tuple(row))
         child = mgr.fork()
     else:
-        child, child_sums = _matmul_stack(a.child, b.child)
+        child, child_sums = _matmul_stack(a.child, b.child, MATMUL_STACK)
         for c1 in range(child.num_states):
             row = []
             for c2 in range(child.num_states):
@@ -182,29 +183,20 @@ def _matmul_stack(a: Layer, b: Layer) -> tuple[Layer, tuple[TripleSum, ...]]:
             rows.append(tuple(row))
     layer = mgr.intern_layer(child, tuple(rows))
     result = (layer, tuple(index))
-    mgr.matmul_stack_cache[key] = result
+    mgr.matmul_cache[key] = result
     return result
 
 
 def matmul(a: MatrixTidd, b: MatrixTidd) -> MatrixTidd:
-    """Exact matrix product; memoized on the operand diagrams."""
+    """Exact matrix product; the product stack is memoized on the operand layers."""
     if a.qubits != b.qubits:
         raise ShapeMismatch(f"qubit counts {a.qubits} and {b.qubits}")
-    mgr = a.t.manager
-    key = (a.t, b.t)
-    hit = mgr.matmul_cache.get(key)
-    if hit is not None:
-        mgr.stats["matmul_hits"] += 1
-        return MatrixTidd(hit, a.qubits)
-    mgr.stats["matmul_misses"] += 1
-    top, sums = _matmul_stack(a.t.top, b.t.top)
+    top, sums = _matmul_stack(a.t.top, b.t.top, MATMUL)
     raw_values = [
         sum(((a.t.values[q] * b.t.values[p]).scale_int(w) for q, p, w in s), ZERO)
         for s in sums
     ]
-    result = canonical_tidd(top, raw_values)
-    mgr.matmul_cache[key] = result
-    return MatrixTidd(result, a.qubits)
+    return MatrixTidd(canonical_tidd(top, raw_values), a.qubits)
 
 
 def matvec(a: MatrixTidd, v: VectorTidd) -> VectorTidd:

@@ -13,7 +13,7 @@ iteration is needed.  The rebuild runs bottom-up with canonical renumbering.
 
 from __future__ import annotations
 
-from .core import DONTCARE, FORK, Layer, Table, Tidd
+from .core import APPLY, DONTCARE, FORK, KRONECKER, PAIR_PRODUCT, Layer, Table, Tidd
 from .errors import LevelMismatch
 from .values import BinaryOp, TIMES, Value, as_value
 
@@ -61,11 +61,9 @@ def pair_product(a: Layer, b: Layer) -> tuple[Layer, PairMeta]:
         raise LevelMismatch(f"levels {a.level} and {b.level}")
     mgr = a.manager
     key = (a, b)
-    hit = mgr.pair_cache.get(key)
+    hit = mgr.lookup(mgr.pair_cache, key, PAIR_PRODUCT)
     if hit is not None:
-        mgr.stats["pair_product_hits"] += 1
         return hit
-    mgr.stats["pair_product_misses"] += 1
 
     if a.is_leaf():
         kind, meta = _LEVEL0_PAIRS[(a.kind, b.kind)]
@@ -197,11 +195,9 @@ def apply(op: BinaryOp, f: Tidd, g: Tidd) -> Tidd:
         raise LevelMismatch(f"levels {f.level} and {g.level}")
     mgr = f.manager
     key = (op.name, f, g)
-    hit = mgr.apply_cache.get(key)
+    hit = mgr.lookup(mgr.apply_cache, key, APPLY)
     if hit is not None:
-        mgr.stats["apply_hits"] += 1
         return hit
-    mgr.stats["apply_misses"] += 1
     top, meta = pair_product(f.top, g.top)
     raw_values = [op(f.values[q], g.values[p]) for q, p in meta]
     result = canonical_tidd(top, raw_values)
@@ -229,7 +225,7 @@ def kronecker(a: Tidd, b: Tidd) -> Tidd:
         raise LevelMismatch(f"levels {a.level} and {b.level}")
     mgr = a.manager
     key = (a, b)
-    hit = mgr.kron_cache.get(key)
+    hit = mgr.lookup(mgr.kron_cache, key, KRONECKER)
     if hit is not None:
         return hit
     stack_top, meta = pair_product(a.top, b.top)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .builders import constant, projection
+from .builders import MAX_DENSE_VARS, constant, projection
 from .core import FORK, Manager, Tidd
 from .errors import OracleScaleLimit, ShapeMismatch
 from .ops import apply
@@ -30,12 +30,12 @@ from .values import (
     as_value,
 )
 
-MAX_ORACLE_VARS = 20
-
 
 def _check_scale(num_vars: int) -> None:
-    if num_vars > MAX_ORACLE_VARS:
-        raise OracleScaleLimit(f"{num_vars} variables exceed oracle scale {MAX_ORACLE_VARS}")
+    if num_vars > MAX_DENSE_VARS:
+        raise OracleScaleLimit(
+            f"variable count {num_vars} exceeds the oracle cap {MAX_DENSE_VARS}"
+        )
 
 
 @dataclass(frozen=True)

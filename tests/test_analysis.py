@@ -1,9 +1,14 @@
 from collections import Counter
+from fractions import Fraction
+from math import isqrt
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tidd import (
+    ONE,
+    Manager,
     Value,
     constant,
     equality_relation,
@@ -148,3 +153,55 @@ def test_sample_weights_shape(mgr):
     assert len(weights) == f.top.num_states
     assert weights[1] == 0  # value-0 state has zero weight
     assert weights[0] > 0
+
+
+def test_sample_weights_share_one_scale_across_denominators(mgr):
+    # 1/2 and 1 have denominator exponents 1 and 0; the weights must be 1:2
+    half = Value(1, 0, 1)
+    f = from_truth_table(mgr, 0, [half, ONE])
+    weights = dict(zip(f.values, sample_weights(f)))
+    assert weights[ONE] == 2 * weights[half]
+
+
+def test_sample_weights_irrational_ratio(mgr):
+    root_half = Value(0, 1, 1)  # 1/sqrt(2), denominator exponent 1
+    f = from_truth_table(mgr, 0, [root_half, ONE])
+    weights = dict(zip(f.values, sample_weights(f)))
+    ratio = Fraction(weights[root_half], weights[ONE])
+    # the ratio is 1/sqrt(2) up to 128-bit fixed-point rounding
+    assert abs(ratio * ratio - Fraction(1, 2)) < Fraction(1, 2**120)
+
+
+_SQRT2 = Fraction(isqrt(2 << 400), 1 << 200)  # within 2**-200 of sqrt(2)
+
+
+def _exact(v):
+    return (v.a + v.b * _SQRT2) / (1 << v.k)
+
+
+_nonnegative_values = st.builds(
+    Value, st.integers(-50, 50), st.integers(-50, 50), st.integers(0, 6)
+).map(lambda v: -v if v.sign() < 0 else v)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_nonnegative_values, min_size=4, max_size=4))
+def test_sample_weights_proportional_to_exact_weights(values):
+    f = from_truth_table(Manager(), 1, values)
+    weights = sample_weights(f)
+    exact = [_exact(v) * c for v, c in zip(f.values, top_path_counts(f))]
+    assert [w == 0 for w in weights] == [x == 0 for x in exact]
+    top = max(range(len(exact)), key=exact.__getitem__)
+    if exact[top] == 0:
+        return
+    for w, x in zip(weights, exact):
+        assert abs(Fraction(w, weights[top]) - x / exact[top]) < Fraction(1, 2**100)
+
+
+def test_repeated_path_counts_record_one_hit(mgr):
+    f = hadamard_family(mgr, 3)
+    first = path_counts(f)
+    hits, misses = mgr.stats["path_counts_hits"], mgr.stats["path_counts_misses"]
+    assert path_counts(f) == first
+    assert mgr.stats["path_counts_hits"] == hits + 1
+    assert mgr.stats["path_counts_misses"] == misses

@@ -47,9 +47,8 @@ def test_verify_passes(capsys):
     assert fields["failed"] == "0"
 
 
-def test_verify_respects_oracle_cap(capsys, monkeypatch):
-    monkeypatch.setenv("TIDD_ORACLE_MAX_VARS", "4")
-    code, _, err = run_cli(capsys, ["verify", "--vars", "8", "--cases", "5"])
+def test_verify_respects_oracle_cap(capsys):
+    code, _, err = run_cli(capsys, ["verify", "--vars", "32", "--cases", "5"])
     assert code == 2
     assert "exceeds" in err
 
@@ -65,6 +64,22 @@ def test_bench_row(capsys):
     assert fields["algo"] == "ghz"
     assert fields["gates"] == "8"
     assert int(fields["max_intermediate"]) >= int(fields["final_total"])
+
+
+def test_bench_json_types(capsys):
+    code, out, _ = run_cli(
+        capsys, ["bench", "--algo", "ghz", "--qubits", "8", "--format", "json"]
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert list(data) == [
+        "algo", "qubits", "seed", "gates", "final_nodes", "final_edges",
+        "final_total", "max_intermediate", "wall_seconds",
+    ]
+    assert data["algo"] == "ghz"
+    assert all(type(data[k]) is int for k in list(data)[1:-1])
+    assert data["gates"] == 8
+    assert type(data["wall_seconds"]) is float
 
 
 def test_sample_deterministic(capsys):

@@ -1,8 +1,11 @@
+from collections import Counter
 from random import Random
 
 import pytest
 
+from tidd import analysis, linalg, ops
 from tidd import (
+    TIMES,
     Tidd,
     Value,
     constant,
@@ -18,6 +21,7 @@ from tidd import (
     total_states,
     validate,
 )
+from tidd.linalg import MatrixTidd
 from tidd.errors import (
     ArityMismatch,
     AssignmentLengthMismatch,
@@ -153,3 +157,44 @@ def test_dump_golden_constant(mgr):
         "V=3,0,0"
     )
     assert dump(constant(mgr, 1, 3)) == expected
+
+
+def test_every_counter_matches_its_calls(mgr, monkeypatch):
+    calls = Counter()
+
+    def count(module, attr, name):
+        fn = getattr(module, attr)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    # module globals, so recursive and in-module calls are counted too
+    count(ops, "pair_product", "pair_product")
+    count(ops, "apply", "apply")
+    count(ops, "kronecker", "kronecker")
+    count(linalg, "matmul", "matmul")
+    count(linalg, "_matmul_stack", "matmul_stack")
+    count(analysis, "layer_path_counts", "path_counts")
+
+    rng = Random(41)
+    for level in (1, 2, 3):
+        fs = [from_truth_table(mgr, level, random_truth_table(rng, level)) for _ in range(3)]
+        for _ in range(2):  # the second round hits every cache
+            for f in fs:
+                for g in fs:
+                    ops.kronecker(f, g)
+                    ops.apply(TIMES, f, g)
+                    m = MatrixTidd(f, 1 << (level - 1))
+                    linalg.matmul(m, MatrixTidd(g, m.qubits))
+                analysis.path_counts(f)
+    # each matmul call makes one top-pair read of the shared stack cache
+    calls["matmul_stack"] -= calls["matmul"]
+
+    names = {key.rsplit("_", 1)[0] for key in mgr.stats}
+    assert names == set(calls)
+    for name in names:
+        assert mgr.stats[f"{name}_hits"] + mgr.stats[f"{name}_misses"] == calls[name]
+        assert mgr.stats[f"{name}_hits"] > 0, name

@@ -3,7 +3,9 @@ from random import Random
 import pytest
 
 from tidd import (
+    ONE,
     PLUS,
+    Tidd,
     Value,
     apply,
     equal,
@@ -189,3 +191,32 @@ def test_vector_norm_squared(mgr):
         gate_matrix(mgr, gate("h", 0, 1)), vector_from_basis_state(mgr, 1, (0,))
     )
     assert vector_norm_squared(plus) == Value(1, 0)
+
+
+def test_repeated_matmul_records_one_hit(mgr):
+    rng = Random(31)
+    a = random_matrix(mgr, rng, 4)
+    b = random_matrix(mgr, rng, 4)
+    first = matmul(a, b)
+    stats = dict(mgr.stats)
+    assert matmul(a, b) == first
+    assert mgr.stats["matmul_hits"] == stats["matmul_hits"] + 1
+    assert mgr.stats["matmul_misses"] == stats["matmul_misses"]
+    # the top pair's stack is reused whole: no child pair is looked up again
+    assert mgr.stats["matmul_stack_hits"] == stats["matmul_stack_hits"]
+    assert mgr.stats["matmul_stack_misses"] == stats["matmul_stack_misses"]
+
+
+def test_matmul_reuses_the_stack_for_new_values(mgr):
+    rng = Random(37)
+    for qubits in (1, 2, 4):
+        a = random_matrix(mgr, rng, qubits)
+        b = random_matrix(mgr, rng, qubits)
+        matmul(a, b)
+        # same layers, other values: only the top values are resolved again
+        shifted = MatrixTidd(Tidd(a.t.top, tuple(v + ONE for v in a.t.values)), qubits)
+        hits = mgr.stats["matmul_hits"]
+        got = dense_from_tidd(matmul(shifted, b).t)
+        assert mgr.stats["matmul_hits"] == hits + 1
+        expected = dense_matmul(dense_from_tidd(shifted.t), dense_from_tidd(b.t))
+        assert got.outputs == expected.outputs

@@ -265,3 +265,13 @@ def test_kronecker_matches_dense(mgr):
 def test_kronecker_level_mismatch(mgr):
     with pytest.raises(LevelMismatch):
         kronecker(constant(mgr, 1, 1), constant(mgr, 2, 1))
+
+
+def test_repeated_kronecker_records_one_hit(mgr):
+    a = hadamard_family(mgr, 2)
+    b = equality_relation(mgr, 2)
+    first = kronecker(a, b)
+    hits, misses = mgr.stats["kronecker_hits"], mgr.stats["kronecker_misses"]
+    assert kronecker(a, b) == first
+    assert mgr.stats["kronecker_hits"] == hits + 1
+    assert mgr.stats["kronecker_misses"] == misses
