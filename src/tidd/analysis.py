@@ -12,16 +12,23 @@ top state is drawn by weight W(q) = V(q) * pathcount(q), then one incoming
 transition per level, then uniform bits at DontCare leaves.  Draws against
 irrational exact weights use 128-bit-mantissa fixed-point approximations of
 the cumulative weights over one common denominator; sign checks stay exact.
+The incoming transitions of every state, with their cumulative weights, are
+indexed once per top layer and cached on the manager.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from random import Random
 
-from .core import FORK, PATH_COUNTS, Layer, Tidd
+from .core import FORK, PATH_COUNTS, SAMPLE_INDEX, Layer, Tidd
 from .errors import NegativeWeight, ZeroDistribution
 
 PathCountAnnotation = tuple[tuple[int, ...], ...]
+# Per state of one layer: its incoming (a, b) pairs in row-major order and
+# their cumulative weights pathcount(a) * pathcount(b).
+Incoming = tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], ...]
 
 _FIXED_POINT_BITS = 128
 
@@ -73,40 +80,57 @@ def sample_weights(f: Tidd) -> list[int]:
 
 
 def _draw(rng: Random, weights: list[int]) -> int:
-    total = sum(weights)
-    r = rng.randrange(total)
-    acc = 0
-    for i, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            return i
-    return len(weights) - 1
+    cum = list(accumulate(weights))
+    return bisect_right(cum, rng.randrange(cum[-1]))
+
+
+def _layer_incoming(layer: Layer, below: tuple[int, ...]) -> Incoming:
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(layer.num_states)]
+    cums: list[list[int]] = [[] for _ in range(layer.num_states)]
+    for a, row in enumerate(layer.table):
+        for b, q in enumerate(row):
+            cum = cums[q]
+            cum.append((cum[-1] if cum else 0) + below[a] * below[b])
+            pairs[q].append((a, b))
+    return tuple(zip(map(tuple, pairs), map(tuple, cums)))
+
+
+def _sample_index(top: Layer) -> tuple[bool, tuple[Incoming, ...]]:
+    """Whether the leaf is a Fork, and the incoming index of every level
+    (level 0 holds an empty entry); cached on the manager."""
+    mgr = top.manager
+    hit = mgr.lookup(mgr.sample_index_cache, top, SAMPLE_INDEX)
+    if hit is not None:
+        return hit
+    layers = top.stack()
+    per_level = layer_path_counts(top)
+    levels = ((),) + tuple(
+        _layer_incoming(layer, below) for layer, below in zip(layers[1:], per_level)
+    )
+    result = (layers[0].kind == FORK, levels)
+    mgr.sample_index_cache[top] = result
+    return result
 
 
 def sample(f: Tidd, rng: Random) -> tuple[int, ...]:
-    """Draw one assignment with probability proportional to its value."""
+    """Draw one assignment with probability proportional to its value.
+
+    Depth first, left subtree before right: one draw per visited state, over
+    its incoming transitions, then one bit per DontCare leaf.
+    """
     weights = sample_weights(f)
     if not any(weights):
         raise ZeroDistribution("all top-state weights are zero")
-    layers = f.top.stack()
-    per_level = layer_path_counts(f.top)
-
-    def walk(level: int, state: int) -> list[int]:
+    fork, levels = _sample_index(f.top)
+    out: list[int] = []
+    pending = [(f.level, _draw(rng, weights))]
+    while pending:
+        level, state = pending.pop()
         if level == 0:
-            if layers[0].kind == FORK:
-                return [state]
-            return [rng.randrange(2)]
-        below = per_level[level - 1]
-        table = layers[level].table
-        incoming = []
-        trans_weights = []
-        for a, row in enumerate(table):
-            for b, q in enumerate(row):
-                if q == state:
-                    incoming.append((a, b))
-                    trans_weights.append(below[a] * below[b])
-        a, b = incoming[_draw(rng, trans_weights)]
-        return walk(level - 1, a) + walk(level - 1, b)
-
-    top_state = _draw(rng, weights)
-    return tuple(walk(f.level, top_state))
+            out.append(state if fork else rng.randrange(2))
+            continue
+        pairs, cum = levels[level][state]
+        a, b = pairs[bisect_right(cum, rng.randrange(cum[-1]))]
+        pending.append((level - 1, b))
+        pending.append((level - 1, a))
+    return tuple(out)

@@ -96,9 +96,12 @@ def check_canonical_order(table: Table) -> int:
 # call's top layer pair, and the child pairs of the product stack below it.
 COUNTERS = tuple(
     (f"{name}_hits", f"{name}_misses")
-    for name in ("pair_product", "apply", "kronecker", "matmul", "matmul_stack", "path_counts")
+    for name in (
+        "pair_product", "apply", "kronecker", "matmul", "matmul_stack", "path_counts",
+        "sample_index",
+    )
 )
-PAIR_PRODUCT, APPLY, KRONECKER, MATMUL, MATMUL_STACK, PATH_COUNTS = COUNTERS
+PAIR_PRODUCT, APPLY, KRONECKER, MATMUL, MATMUL_STACK, PATH_COUNTS, SAMPLE_INDEX = COUNTERS
 
 
 class Manager:
@@ -114,6 +117,7 @@ class Manager:
         self.matmul_cache: dict = {}
         self.triple_sums: dict = {}
         self.path_count_cache: dict = {}
+        self.sample_index_cache: dict = {}
         self.stats = {key: 0 for counter in COUNTERS for key in counter}
 
     def lookup(self, cache: dict, key, counter: tuple[str, str]):

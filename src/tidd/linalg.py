@@ -122,15 +122,25 @@ def _intern_sum(mgr: Manager, s: TripleSum) -> TripleSum:
 
 
 def _combine_sums(
-    mgr: Manager, left: TripleSum, right: TripleSum, ta, tb
+    mgr: Manager, left_rows, right: TripleSum, shift: int
 ) -> TripleSum:
-    """Distribute two formal sums through the operand transition tables."""
-    out: dict[tuple[int, int], int] = {}
-    for qa, pa, wa in left:
+    """Distribute two formal sums through the operand transition tables.
+
+    ``left_rows`` holds the left sum as (ta[qa] shifted, tb[pa], wa) triples,
+    each entry of ta[qa] shifted left by ``shift``.  Pairs accumulate under
+    the packed key (q << shift) | p, whose integer order is the (q, p) order
+    because every p is below 2**shift.
+    """
+    out: dict[int, int] = {}
+    get = out.get
+    for row_a, row_b, wa in left_rows:
         for qb, pb, wb in right:
-            key = (ta[qa][qb], tb[pa][pb])
-            out[key] = out.get(key, 0) + wa * wb
-    return _intern_sum(mgr, tuple((q, p, w) for (q, p), w in sorted(out.items())))
+            packed = row_a[qb] | row_b[pb]
+            out[packed] = get(packed, 0) + wa * wb
+    mask = (1 << shift) - 1
+    return _intern_sum(
+        mgr, tuple((packed >> shift, packed & mask, out[packed]) for packed in sorted(out))
+    )
 
 
 def _bit_states(layer: Layer) -> tuple[int, int]:
@@ -163,23 +173,20 @@ def _matmul_stack(a: Layer, b: Layer, counter) -> tuple[Layer, tuple[TripleSum, 
                     (a.table[sa[i]][sa[k]], b.table[sb[k]][sb[j]], 1)
                     for k in range(2)
                 )
-                s = _intern_sum(mgr, s)
-                if s not in index:
-                    index[s] = len(index)
-                row.append(index[s])
+                row.append(index.setdefault(_intern_sum(mgr, s), len(index)))
             rows.append(tuple(row))
         child = mgr.fork()
     else:
         child, child_sums = _matmul_stack(a.child, b.child, MATMUL_STACK)
-        for c1 in range(child.num_states):
+        shift = b.num_states.bit_length()
+        shifted_a = [tuple(q << shift for q in row) for row in a.table]
+        tb = b.table
+        for left in child_sums:
+            left_rows = tuple((shifted_a[q], tb[p], w) for q, p, w in left)
             row = []
-            for c2 in range(child.num_states):
-                s = _combine_sums(
-                    mgr, child_sums[c1], child_sums[c2], a.table, b.table
-                )
-                if s not in index:
-                    index[s] = len(index)
-                row.append(index[s])
+            for right in child_sums:
+                s = _combine_sums(mgr, left_rows, right, shift)
+                row.append(index.setdefault(s, len(index)))
             rows.append(tuple(row))
     layer = mgr.intern_layer(child, tuple(rows))
     result = (layer, tuple(index))

@@ -13,6 +13,8 @@ iteration is needed.  The rebuild runs bottom-up with canonical renumbering.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .core import APPLY, DONTCARE, FORK, KRONECKER, PAIR_PRODUCT, Layer, Table, Tidd
 from .errors import LevelMismatch
 from .values import BinaryOp, TIMES, Value, as_value
@@ -27,13 +29,11 @@ def canonical_renumber(table) -> tuple[Table, tuple[int, ...]]:
     ``perm`` with ``perm[old_index] = new_index`` (use it to reorder a value
     tuple or any per-state metadata).
     """
-    rename: dict[int, int] = {}
-    for row in table:
-        for entry in row:
-            if entry not in rename:
-                rename[entry] = len(rename)
-    new_table = tuple(tuple(rename[e] for e in row) for row in table)
-    perm = tuple(rename[i] for i in range(len(rename)))
+    # dict keys keep insertion order: the entries in first-occurrence order
+    order = dict.fromkeys(chain.from_iterable(table))
+    rename = {old: new for new, old in enumerate(order)}
+    new_table = tuple(tuple(map(rename.__getitem__, row)) for row in table)
+    perm = tuple(map(rename.__getitem__, range(len(rename))))
     return new_table, perm
 
 
@@ -123,48 +123,49 @@ def reduce_stack(top: Layer, top_classes) -> tuple[Layer, list[tuple[int, ...]]]
     layers = top.stack()
     level = top.level
 
-    # top-down: classes per level, numbered by leftmost occurrence
+    # top-down: classes per level, numbered by leftmost occurrence; a level
+    # whose classes are all singletons has the identity as its class map
     class_of: list[tuple[int, ...]] = [()] * (level + 1)
     class_of[level] = tuple(top_classes)
+    identity = [False] * (level + 1)
+    identity[level] = class_of[level] == tuple(range(top.num_states))
     for i in range(level - 1, -1, -1):
-        above = layers[i + 1]
-        cls_above = class_of[i + 1]
-        table = above.table
-        side = layers[i].num_states
+        class_above = class_of[i + 1].__getitem__
+        mapped = [tuple(map(class_above, row)) for row in layers[i + 1].table]
+        # state q's signature: its mapped row and its mapped column
         index: dict[tuple, int] = {}
-        assigned = []
-        for q in range(side):
-            sig = (
-                tuple(cls_above[table[q][x]] for x in range(side)),
-                tuple(cls_above[table[x][q]] for x in range(side)),
-            )
-            idx = index.get(sig)
-            if idx is None:
-                idx = len(index)
-                index[sig] = idx
-            assigned.append(idx)
-        class_of[i] = tuple(assigned)
+        class_of[i] = tuple(
+            index.setdefault(sig, len(index)) for sig in zip(mapped, zip(*mapped))
+        )
+        identity[i] = len(index) == layers[i].num_states
 
-    # bottom-up rebuild with canonical renumbering
+    # bottom-up rebuild with canonical renumbering.  A level with identity
+    # classes over an unchanged child keeps its layer: the old table is
+    # already canonical, and intern_layer would return that same layer.
     mgr = top.manager
     maps: list[tuple[int, ...]] = []
-    n0 = len(set(class_of[0]))
-    new_layer = mgr.fork() if n0 == 2 else mgr.dontcare()
-    maps.append(class_of[0])
-    for i in range(1, level + 1):
-        old_table = layers[i].table
-        child_map = maps[i - 1]
-        reps: list[int] = [-1] * new_layer.num_states
-        for old, new in enumerate(child_map):
-            if reps[new] < 0:
-                reps[new] = old
-        raw = tuple(
-            tuple(class_of[i][old_table[reps[c1]][reps[c2]]] for c2 in range(new_layer.num_states))
-            for c1 in range(new_layer.num_states)
-        )
-        canon, perm = canonical_renumber(raw)
-        new_layer = mgr.intern_layer(new_layer, canon)
-        maps.append(tuple(perm[c] for c in class_of[i]))
+    unchanged = True  # every level so far kept its layer
+    for i, layer in enumerate(layers):
+        unchanged = unchanged and identity[i]
+        if unchanged:
+            new_layer = layer
+            maps.append(class_of[i])
+        elif i == 0:  # the two Fork states merged
+            new_layer = mgr.dontcare()
+            maps.append(class_of[0])
+        else:
+            reps: list[int] = [-1] * new_layer.num_states
+            for old, new in enumerate(maps[i - 1]):
+                if reps[new] < 0:
+                    reps[new] = old
+            class_here = class_of[i].__getitem__
+            raw = [
+                tuple(map(class_here, map(layer.table[r].__getitem__, reps)))
+                for r in reps
+            ]
+            canon, perm = canonical_renumber(raw)
+            new_layer = mgr.intern_layer(new_layer, canon)
+            maps.append(tuple(map(perm.__getitem__, class_of[i])))
     return new_layer, maps
 
 

@@ -11,8 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import ValueDomainError
+
+
+@cache
+def _scaled_sqrt2(precision: int) -> int:
+    """floor(sqrt(2) * 2**precision)."""
+    return math.isqrt(2 << (2 * precision))
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,18 +35,32 @@ class Value:
     k: int = 0
 
     def __post_init__(self) -> None:
-        a, b, k = self.a, self.b, self.k
+        k = self.k
+        if k == 0:
+            return
         if k < 0:
             raise ValueError(f"denominator exponent must be >= 0, got {k}")
-        while k > 0 and a % 2 == 0 and b % 2 == 0:
-            a //= 2
-            b //= 2
-            k -= 1
-        if a == 0 and b == 0:
-            k = 0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "k", k)
+        a, b = self.a, self.b
+        both = a | b
+        if both == 0:
+            object.__setattr__(self, "k", 0)
+            return
+        # halve while a and b are both even: shift out their common trailing zeros
+        shift = min((both & -both).bit_length() - 1, k)
+        if shift:
+            object.__setattr__(self, "a", a >> shift)
+            object.__setattr__(self, "b", b >> shift)
+            object.__setattr__(self, "k", k - shift)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Value:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.k))
 
     @classmethod
     def from_int(cls, n: int) -> Value:
@@ -101,7 +122,7 @@ class Value:
         return self.a == 0 and self.b == 0
 
     def is_boolean(self) -> bool:
-        return self == FALSE or self == TRUE
+        return self.b == 0 and self.k == 0 and (self.a == 0 or self.a == 1)
 
     def as_bool(self) -> bool:
         if self == TRUE:
@@ -116,8 +137,7 @@ class Value:
         Used only for cumulative sampling draws; all comparisons that affect
         correctness (signs, equality) stay exact.
         """
-        sqrt2 = math.isqrt(2 << (2 * precision))
-        return (self.a << precision) + self.b * sqrt2
+        return (self.a << precision) + self.b * _scaled_sqrt2(precision)
 
     def to_float(self) -> float:
         return (self.a + self.b * math.sqrt(2.0)) / (1 << self.k)

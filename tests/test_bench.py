@@ -207,6 +207,17 @@ def test_measure_bv_returns_secret(mgr):
     assert hist == {"".join(map(str, s)): 100}
 
 
+def test_second_measure_batch_reuses_the_squared_state(mgr):
+    state, _ = run_benchmark(mgr, "bv", 8, seed=0)
+    measure_distribution(state, 10, Random(37))
+    before = dict(mgr.stats)
+    measure_distribution(state, 10, Random(38))
+    assert mgr.stats["apply_hits"] == before["apply_hits"] + 1
+    assert mgr.stats["apply_misses"] == before["apply_misses"]
+    assert mgr.stats["sample_index_hits"] == before["sample_index_hits"] + 10
+    assert mgr.stats["sample_index_misses"] == before["sample_index_misses"]
+
+
 def test_random_circuits_match_dense(mgr):
     rng = Random(37)
     kinds = ("h", "x", "z", "cnot", "cz")

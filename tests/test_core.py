@@ -178,6 +178,7 @@ def test_every_counter_matches_its_calls(mgr, monkeypatch):
     count(linalg, "matmul", "matmul")
     count(linalg, "_matmul_stack", "matmul_stack")
     count(analysis, "layer_path_counts", "path_counts")
+    count(analysis, "sample", "sample_index")
 
     rng = Random(41)
     for level in (1, 2, 3):
@@ -190,6 +191,7 @@ def test_every_counter_matches_its_calls(mgr, monkeypatch):
                     m = MatrixTidd(f, 1 << (level - 1))
                     linalg.matmul(m, MatrixTidd(g, m.qubits))
                 analysis.path_counts(f)
+                analysis.sample(ops.apply(TIMES, f, f), rng)
     # each matmul call makes one top-pair read of the shared stack cache
     calls["matmul_stack"] -= calls["matmul"]
 

@@ -18,10 +18,12 @@ from tidd import (
     vector_from_basis_state,
 )
 from tidd.builders import constant, from_truth_table
+from tidd.core import MATMUL_STACK
 from tidd.errors import ShapeMismatch
 from tidd.linalg import (
     MatrixTidd,
     VectorTidd,
+    _matmul_stack,
     is_column_replicated,
     merge_triples,
     vector_amplitudes,
@@ -72,6 +74,39 @@ def test_matmul_matches_dense(mgr):
             got = dense_from_tidd(matmul(a, b).t)
             expected = dense_matmul(dense_from_tidd(a.t), dense_from_tidd(b.t))
             assert got.outputs == expected.outputs
+
+
+@pytest.mark.parametrize("states", [1, 2, 4])
+def test_matmul_matches_dense_at_packed_key_shifts(mgr, states):
+    # b's top layer has 1, 2 or 4 states: packed keys shift q by 1, 2 or 3 bits
+    rng = Random(40 + states)
+    for qubits in (1, 2, 4):
+        level = qubits.bit_length()
+        entries = [Value(1 + i % states, 0) for i in range(1 << (1 << level))]
+        b = MatrixTidd(from_truth_table(mgr, level, entries), qubits)
+        assert b.t.top.num_states == states
+        for _ in range(4):
+            a = random_matrix(mgr, rng, qubits)
+            for left, right in ((a, b), (b, a)):
+                got = dense_from_tidd(matmul(left, right).t)
+                expected = dense_matmul(dense_from_tidd(left.t), dense_from_tidd(right.t))
+                assert got.outputs == expected.outputs
+
+
+def test_repeated_stack_read_hits_the_layer_pair_memo(mgr):
+    rng = Random(39)
+    a = random_matrix(mgr, rng, 4)
+    b = random_matrix(mgr, rng, 4)
+    first = _matmul_stack(a.t.top, b.t.top, MATMUL_STACK)
+    # every product stack is stored under its operand layer pair
+    assert mgr.matmul_cache[(a.t.top, b.t.top)] is first
+    assert all(
+        type(key) is tuple and len(key) == 2 and key[0].level == key[1].level
+        for key in mgr.matmul_cache
+    )
+    hits = mgr.stats["matmul_stack_hits"]
+    assert _matmul_stack(a.t.top, b.t.top, MATMUL_STACK) is first
+    assert mgr.stats["matmul_stack_hits"] == hits + 1
 
 
 def test_matmul_associative_handles(mgr):

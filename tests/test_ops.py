@@ -26,6 +26,7 @@ from tidd.ops import (
     canonical_renumber,
     canonical_tidd,
     pair_product,
+    reduce_stack,
     reduce_tidd,
     top_classes_from_values,
 )
@@ -132,6 +133,25 @@ def test_reduce_idempotent_on_canonical(mgr):
         g = reduce_tidd(f)
         assert g.top is f.top
         assert g.values == f.values
+
+
+def test_reduce_stack_keeps_a_minimal_stack(mgr, monkeypatch):
+    fs = (
+        hadamard_family(mgr, 3),
+        equality_relation(mgr, 2),
+        constant(mgr, 2, 4),
+        projection(mgr, 3, 2),
+    )
+
+    def no_intern(child, table):
+        raise AssertionError("a minimal stack needs no new layer")
+
+    monkeypatch.setattr(mgr, "intern_layer", no_intern)
+    for f in fs:
+        classes, _ = top_classes_from_values(f.values)
+        top, maps = reduce_stack(f.top, classes)
+        assert top is f.top
+        assert maps == [tuple(range(layer.num_states)) for layer in f.top.stack()]
 
 
 def test_reduce_merges_fork_to_dontcare(mgr):

@@ -13,6 +13,28 @@ def test_canonical_form_halves_even_pairs():
     assert Value(6, 2, 1) == Value(3, 1, 0)
 
 
+def test_canonical_form_matches_halving_definition():
+    def halved(a, b, k):
+        while k > 0 and a % 2 == 0 and b % 2 == 0:
+            a, b, k = a // 2, b // 2, k - 1
+        return (a, b, 0 if a == b == 0 else k)
+
+    rng = Random(3)
+    for _ in range(2000):
+        a = rng.randint(-40, 40) << rng.randint(0, 70)
+        b = rng.randint(-40, 40) << rng.randint(0, 70)
+        k = rng.randint(0, 80)
+        v = Value(a, b, k)
+        assert (v.a, v.b, v.k) == halved(a, b, k)
+        assert hash(v) == hash(halved(a, b, k))
+
+
+def test_is_boolean_reads_the_canonical_fields():
+    assert Value(0, 0, 3).is_boolean() and Value(2, 0, 1).is_boolean()
+    for v in (Value(1, 0, 1), Value(-1, 0), Value(2, 0), Value(1, 1), Value(0, 1)):
+        assert not v.is_boolean()
+
+
 def test_zero_is_unique():
     assert Value(0, 0, 7) == Value(0, 0, 0)
     assert Value(0, 0, 7).k == 0
