@@ -22,10 +22,11 @@ from random import Random
 
 from .core import Manager, SizeReport, Tidd, size_metrics
 from .errors import GateSpecError, NotPowerOfTwo, ZeroDistribution
-from .linalg import MatrixTidd, VectorTidd, identity_matrix, matvec, vector_from_basis_state
+from .linalg import MatrixTidd, VectorTidd, matvec, tensor_fold, tensor_powers
+from .linalg import vector_from_basis_state
 from .analysis import sample
 from .builders import from_truth_table
-from .ops import apply, kronecker
+from .ops import apply
 from .values import PLUS, SQRT2_HALF, TIMES, Value
 
 GATE_KINDS = ("h", "x", "z", "i", "cnot", "cz")
@@ -64,27 +65,6 @@ def gate(kind: str, targets, qubits: int) -> GateSpec:
     return GateSpec(kind, ts, qubits)
 
 
-def _level1_matrix(mgr: Manager, entries) -> Tidd:
-    # entries row-major over (x0, y0)
-    return from_truth_table(mgr, 1, entries)
-
-
-def _kron_span(mgr: Manager, factors: dict[int, Tidd], lo: int, hi: int) -> Tidd:
-    """Balanced tensor fold of per-qubit 2x2 factors over qubits [lo, hi).
-
-    Factor-free spans short-circuit to the identity, so one gate costs
-    O(log n) tensor products rather than O(n).
-    """
-    if not any(lo <= i < hi for i in factors):
-        return identity_matrix(mgr, hi - lo).t
-    if hi - lo == 1:
-        return factors[lo]
-    mid = (lo + hi) // 2
-    return kronecker(
-        _kron_span(mgr, factors, lo, mid), _kron_span(mgr, factors, mid, hi)
-    )
-
-
 def gate_matrix(mgr: Manager, g: GateSpec) -> MatrixTidd:
     """The full n-qubit unitary for one gate.
 
@@ -94,20 +74,18 @@ def gate_matrix(mgr: Manager, g: GateSpec) -> MatrixTidd:
     n = g.qubits
     if n < 1 or n & (n - 1):
         raise NotPowerOfTwo(f"qubit count {n} is not a power of two")
+    identities = tensor_powers(from_truth_table(mgr, 1, _I), n)
+
+    def fold(entries: dict[int, tuple]) -> Tidd:  # qubit -> 2x2 entries, row-major
+        factors = {q: from_truth_table(mgr, 1, e) for q, e in entries.items()}
+        return tensor_fold(factors, 0, n, identities)
+
     if g.kind in _SINGLE:
-        base = _level1_matrix(mgr, _SINGLE[g.kind])
-        t = _kron_span(mgr, {g.targets[0]: base}, 0, n)
-        return MatrixTidd(t, n)
+        return MatrixTidd(fold({g.targets[0]: _SINGLE[g.kind]}), n)
     control, target = g.targets
-    branch0 = _kron_span(mgr, {control: _level1_matrix(mgr, _P0)}, 0, n)
+    branch0 = fold({control: _P0})
     flip = _X if g.kind == "cnot" else _Z
-    branch1 = _kron_span(
-        mgr,
-        {control: _level1_matrix(mgr, _P1), target: _level1_matrix(mgr, flip)},
-        0,
-        n,
-    )
-    return MatrixTidd(apply(PLUS, branch0, branch1), n)
+    return MatrixTidd(apply(PLUS, branch0, fold({control: _P1, target: flip})), n)
 
 
 def _require_power_of_two(n: int) -> None:

@@ -125,32 +125,31 @@ def equality_relation(mgr: Manager, l: int) -> Tidd:
     return Tidd(layer, (ONE, ZERO))
 
 
-def anti_diagonal(mgr: Manager, n: int) -> Tidd:
-    """1 iff every anti-diagonal entry of an n x n bit matrix is 0.
+def _anti_diagonal_prefixes(mgr: Manager, n: int) -> list[Tidd]:
+    """The partial conjunctions of the anti-diagonal fold, one per factor.
 
     The matrix is read row-major over n*n variables; row i contributes the
-    factor NOT x_{i*n + n-1-i}.  Built by apply-folding AND over the factors.
+    factor NOT x_{i*n + n-1-i}, and-ed onto the conjunction of rows 0..i-1.
     """
     if n < 2 or n & (n - 1):
         raise NotPowerOfTwo(f"matrix size {n} is not a power of two >= 2")
     level = 2 * (n.bit_length() - 1)
-    result = None
+    prefixes: list[Tidd] = []
     for i in range(n):
         factor = negation(mgr, projection(mgr, level, i * n + n - 1 - i))
-        result = factor if result is None else apply(AND, result, factor)
-    return result
+        prefixes.append(apply(AND, prefixes[-1], factor) if prefixes else factor)
+    return prefixes
+
+
+def anti_diagonal(mgr: Manager, n: int) -> Tidd:
+    """1 iff every anti-diagonal entry of an n x n bit matrix is 0.
+
+    Built by apply-folding AND over one negated projection per row.
+    """
+    return _anti_diagonal_prefixes(mgr, n)[-1]
 
 
 def anti_diagonal_fold_profile(mgr: Manager, n: int) -> list[int]:
     """State counts at level log2(n) after each folded factor (monotone doubling)."""
-    if n < 2 or n & (n - 1):
-        raise NotPowerOfTwo(f"matrix size {n} is not a power of two >= 2")
-    level = 2 * (n.bit_length() - 1)
     row_level = n.bit_length() - 1
-    counts = []
-    result = None
-    for i in range(n):
-        factor = negation(mgr, projection(mgr, level, i * n + n - 1 - i))
-        result = factor if result is None else apply(AND, result, factor)
-        counts.append(result.top.stack()[row_level].num_states)
-    return counts
+    return [f.top.stack()[row_level].num_states for f in _anti_diagonal_prefixes(mgr, n)]

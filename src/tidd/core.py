@@ -149,19 +149,20 @@ class Manager:
 
         The table must be total, square with side child.num_states, and in
         first-occurrence canonical order; non-canonical tables are rejected,
-        not repaired (canonical_renumber is the single repair point).
+        not repaired (canonical_renumber is the single repair point).  A table
+        that is already interned passed both checks, so they run on a miss.
         """
-        table = tuple(tuple(row) for row in table)
+        table = tuple(map(tuple, table))
+        key = (child, table)
+        hit = self._layers.get(key)
+        if hit is not None:
+            return hit
         if len(table) != child.num_states or any(
             len(row) != child.num_states for row in table
         ):
             raise ArityMismatch(
                 f"table side {len(table)} != child state count {child.num_states}"
             )
-        key = (child, table)
-        hit = self._layers.get(key)
-        if hit is not None:
-            return hit
         num_states = check_canonical_order(table)
         layer = Layer(self, child.level + 1, None, child, table, num_states)
         self._layers[key] = layer

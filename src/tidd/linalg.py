@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import top_path_counts
-from .builders import equality_relation, negation, projection
+from .builders import equality_relation, from_truth_table
 from .core import FORK, MATMUL, MATMUL_STACK, Layer, Manager, Tidd, evaluate
 from .errors import ShapeMismatch
-from .ops import apply, canonical_tidd
-from .values import AND, TIMES, Value, ZERO
+from .ops import apply, canonical_tidd, kronecker
+from .values import TIMES, Value, ZERO
 
 TripleSum = tuple[tuple[int, int, int], ...]
 
@@ -90,19 +90,49 @@ def identity_matrix(mgr: Manager, qubits: int) -> MatrixTidd:
     return MatrixTidd(equality_relation(mgr, matrix_level(qubits)), qubits)
 
 
+def tensor_powers(base: Tidd, n: int) -> list[Tidd]:
+    """``[base, base (x) base, ...]`` up to the n-fold tensor power of ``base``.
+
+    Entry k is the 2**k-fold power (n a power of two): the blanks of ``tensor_fold``.
+    """
+    powers = [base]
+    while 1 << (len(powers) - 1) < n:
+        powers.append(kronecker(powers[-1], powers[-1]))
+    return powers
+
+
+def tensor_fold(factors: dict[int, Tidd], lo: int, hi: int, blank: list[Tidd]) -> Tidd:
+    """Balanced tensor fold of per-qubit factors over qubits [lo, hi).
+
+    A qubit without a factor takes the blank one; a factor-free span of 2**k
+    qubits is ``blank[k]`` (see ``tensor_powers``), so a fold over few factors
+    costs O(log n) tensor products rather than O(n).
+    """
+    if not any(lo <= i < hi for i in factors):
+        return blank[(hi - lo).bit_length() - 1]
+    if hi - lo == 1:
+        return factors[lo]
+    mid = (lo + hi) // 2
+    return kronecker(
+        tensor_fold(factors, lo, mid, blank), tensor_fold(factors, mid, hi, blank)
+    )
+
+
 def vector_from_basis_state(mgr: Manager, qubits: int, bits) -> VectorTidd:
-    """The computational basis state |bits>, column-replicated."""
+    """The computational basis state |bits>, column-replicated.
+
+    Column replication makes it the tensor product of one 2x2 factor per
+    qubit, |b><+| with <+| = (1, 1) unnormalized: |1><+| on the set bits,
+    folded over the tensor powers of |0><+|.
+    """
     bits = tuple(int(b) for b in bits)
     if len(bits) != qubits:
         raise ShapeMismatch(f"{len(bits)} bits for {qubits} qubits")
-    level = matrix_level(qubits)
-    result = None
-    for i, b in enumerate(bits):
-        factor = projection(mgr, level, 2 * i)  # row variable x_i
-        if not b:
-            factor = negation(mgr, factor)
-        result = factor if result is None else apply(AND, result, factor)
-    return VectorTidd(MatrixTidd(result, qubits))
+    matrix_level(qubits)  # ShapeMismatch unless a power of two
+    ket1 = from_truth_table(mgr, 1, (0, 0, 1, 1))  # |1><+|, row-major over (x, y)
+    factors = {i: ket1 for i, b in enumerate(bits) if b}
+    blank = tensor_powers(from_truth_table(mgr, 1, (1, 1, 0, 0)), qubits)  # |0><+|
+    return VectorTidd(MatrixTidd(tensor_fold(factors, 0, qubits, blank), qubits))
 
 
 # ---------------------------------------------------------------------------

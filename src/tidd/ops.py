@@ -216,11 +216,12 @@ def scalar_multiply(c: Value | int, f: Tidd) -> Tidd:
 def kronecker(a: Tidd, b: Tidd) -> Tidd:
     """Tensor product: the result evaluates on w||w' to a(w) * b(w').
 
-    A union of two deterministic stacks over the same alphabet is not
-    deterministic in general, so the combined stack is the pair product (the
-    minimal deterministic refinement tracking both operand states).  The new
-    top table pairs the a-component of the left child with the b-component of
-    the right child; values multiply; reduction finishes.
+    Both operands are lifted one level: ``a`` onto the left half (a top table
+    ``[q][q'] = q`` that reads only the left child) and ``b`` onto the right
+    half (``[p][p'] = p'``).  Both lifted tables are canonical and keep the
+    operands' values, and the tensor product is their pointwise product, so
+    ``apply(TIMES, ...)`` builds it: its pair product tracks both operand
+    states, and its reduction finishes.
     """
     if a.level != b.level:
         raise LevelMismatch(f"levels {a.level} and {b.level}")
@@ -229,23 +230,9 @@ def kronecker(a: Tidd, b: Tidd) -> Tidd:
     hit = mgr.lookup(mgr.kron_cache, key, KRONECKER)
     if hit is not None:
         return hit
-    stack_top, meta = pair_product(a.top, b.top)
-    index: dict[tuple[int, int], int] = {}
-    rows = []
-    for c1 in range(stack_top.num_states):
-        qa = meta[c1][0]
-        row = []
-        for c2 in range(stack_top.num_states):
-            pb = meta[c2][1]
-            pair = (qa, pb)
-            idx = index.get(pair)
-            if idx is None:
-                idx = len(index)
-                index[pair] = idx
-            row.append(idx)
-        rows.append(tuple(row))
-    top = mgr.intern_layer(stack_top, tuple(rows))
-    raw_values = [a.values[q] * b.values[p] for q, p in index]
-    result = canonical_tidd(top, raw_values)
+    m, k = a.top.num_states, b.top.num_states
+    left = mgr.intern_layer(a.top, [(q,) * m for q in range(m)])
+    right = mgr.intern_layer(b.top, [tuple(range(k))] * k)
+    result = apply(TIMES, Tidd(left, a.values), Tidd(right, b.values))
     mgr.kron_cache[key] = result
     return result

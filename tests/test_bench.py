@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from tidd import builders, linalg
 from tidd import Value, equal, identity_matrix, validate
 from tidd.bench import (
     GateSpec,
@@ -64,6 +65,30 @@ def test_gates_match_dense_grids(mgr):
         assert dense_to_matrix(dense_from_tidd(g.t)) == dense_gate_grid(
             kind, targets, n
         )
+
+
+def test_eight_qubit_gates_match_dense_grids(mgr):
+    # the targets leave blank spans of 1, 2 and 4 qubits on both sides
+    cases = [(kind, (q,)) for kind in ("h", "x", "z") for q in (0, 3, 4, 7)]
+    cases += [("cnot", (0, 7)), ("cz", (5, 2))]
+    for kind, targets in cases:
+        g = gate_matrix(mgr, gate(kind, targets, 8))
+        assert dense_to_matrix(dense_from_tidd(g.t)) == dense_gate_grid(kind, targets, 8)
+
+
+def test_gate_matrix_builds_no_equality_relation(mgr, monkeypatch):
+    calls = []
+
+    def counted(real):
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+        return wrapper
+
+    for module in (builders, linalg):
+        monkeypatch.setattr(module, "equality_relation", counted(module.equality_relation))
+    gate_matrix(mgr, gate("cnot", (0, 7), 8))
+    assert calls == []
 
 
 def test_cnot_is_permutation(mgr):

@@ -38,6 +38,14 @@ def test_interning_idempotent(mgr):
     assert a is b
 
 
+def test_interning_a_table_of_lists_returns_the_same_layer(mgr):
+    fork = mgr.fork()
+    a = mgr.intern_layer(fork, [[0, 0], [0, 1]])
+    assert mgr.intern_layer(fork, ((0, 0), (0, 1))) is a
+    assert mgr.intern_layer(fork, [(0, 0), [0, 1]]) is a
+    assert a.table == ((0, 0), (0, 1))
+
+
 def test_interning_distinct_structures(mgr):
     fork = mgr.fork()
     a = mgr.intern_layer(fork, ((0, 0), (0, 1)))

@@ -24,6 +24,7 @@ GOLDEN = {
     "ghz-32-0": "7b8f113be5d8f8b453f21fb69f98c632cbf7f83a90377ce927a0f6fb9ed44456",
     "ghz-64-0": "2886db72d2a280beac65cbf4499f310a58d48bc2cf67bf6927cb9c12e209eed7",
     "ghz-128-0": "7e6d048ad509249ef5195ab056dcccb81df73be00e739a16e5c3307171a0d1ea",
+    "ghz-512-0": "ce844ee57a85ce7fba08ec92a81989d4de2cd9a0e87aace42294b4dd8b65c431",
     "bv-8-0": "a532fb2e870cae7caff5310270c602089476b71a247c5142c50bc1ffcd73707b",
     "bv-8-1": "f6441fbbb4e7fee4b7cc434dead7d2b95dfb5c65a0da388b2d4408a9d7757087",
     "bv-8-2": "2d5b6938aebc0e9b054802edf41fa8ecd8b523101cd173e89e74b3b1c3cdc859",
@@ -32,6 +33,7 @@ GOLDEN = {
     "bv-16-1": "ac74e6c9c30eebda3229d8de7931ee3e4b0f9600460677a62af8e9c03cd14479",
     "bv-16-2": "47dfa14d85641a4bab837cd251779a56a9bbbcec3ecf21c30429ac59933f940a",
     "bv-16-3": "e426374e11cea481641ba9de47e71a432ee9299b8bc389deba6b37eccbf9cdce",
+    "bv-32-0": "a20268fe0145a483232783ae9dbad1db7aa8cb83e5ebae45b9811a34255c17ab",
     "dj-8-0": "3d2f9cef3f07ff35df25363fb075e334f36ee02c9f58e11bc7596c28f4a503e7",
     "dj-8-1": "fc93e5680e8532ae70107f258197bdb18756e5464ae3a3b8663fc678e3b23ede",
     "dj-8-2": "4fde9e1ecf42f2917d048f55023b47c57257cb8f8f6d0857b6ccaa6189d0d3d2",

@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 from tidd import (
+    AND,
     ONE,
     PLUS,
     Tidd,
@@ -14,6 +15,8 @@ from tidd import (
     identity_matrix,
     matmul,
     matvec,
+    negation,
+    projection,
     scalar_multiply,
     vector_from_basis_state,
 )
@@ -32,7 +35,7 @@ from tidd.linalg import (
 from tidd.oracle import dense_from_tidd, dense_matmul, dense_to_matrix
 from tidd.values import SQRT2_HALF
 
-from helpers import random_truth_table
+from helpers import bits_of, random_truth_table
 
 
 def random_matrix(mgr, rng, qubits):
@@ -177,6 +180,29 @@ def test_vector_from_basis_state(mgr):
 def test_vector_wrong_length(mgr):
     with pytest.raises(ShapeMismatch):
         vector_from_basis_state(mgr, 2, (0, 0, 1))
+    with pytest.raises(ShapeMismatch):
+        vector_from_basis_state(mgr, 3, (1, 0, 0))
+
+
+def projection_fold_basis_state(mgr, qubits, bits):
+    """|bits> as AND over the row-variable projections, negated on clear bits."""
+    level = qubits.bit_length()
+    result = None
+    for i, b in enumerate(bits):
+        factor = projection(mgr, level, 2 * i)  # row variable x_i
+        if not b:
+            factor = negation(mgr, factor)
+        result = factor if result is None else apply(AND, result, factor)
+    return result
+
+
+def test_every_basis_state_equals_the_projection_fold(mgr):
+    for qubits in (1, 2, 4):
+        for r in range(1 << qubits):
+            bits = bits_of(r, qubits)
+            v = vector_from_basis_state(mgr, qubits, bits)
+            assert v.t.t == projection_fold_basis_state(mgr, qubits, bits)
+            assert is_column_replicated(v.t)
 
 
 def test_matvec_identity(mgr):

@@ -273,13 +273,25 @@ def test_kronecker_unit_factor(mgr):
 
 def test_kronecker_matches_dense(mgr):
     rng = Random(13)
+    pairs = []
     for level in (0, 1, 2):
         for _ in range(10):
             a = from_truth_table(mgr, level, random_truth_table(rng, level))
             b = from_truth_table(mgr, level, random_truth_table(rng, level))
-            got = dense_from_tidd(kronecker(a, b))
-            expected = dense_kron(dense_from_tidd(a), dense_from_tidd(b))
-            assert got.outputs == expected.outputs
+            pairs.append((a, b))
+        # a one-state (constant) operand on either side
+        c = constant(mgr, level, 3)
+        f = from_truth_table(mgr, level, random_truth_table(rng, level))
+        pairs += [(c, f), (f, c)]
+    # operands with different top state counts
+    four = from_truth_table(mgr, 1, [0, 1, 2, -1])
+    for a, b in [(hadamard_family(mgr, 1), four), (four, equality_relation(mgr, 1))]:
+        assert a.top.num_states != b.top.num_states
+        pairs.append((a, b))
+    for a, b in pairs:
+        got = dense_from_tidd(kronecker(a, b))
+        expected = dense_kron(dense_from_tidd(a), dense_from_tidd(b))
+        assert got.outputs == expected.outputs
 
 
 def test_kronecker_level_mismatch(mgr):
