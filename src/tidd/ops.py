@@ -219,9 +219,11 @@ def kronecker(a: Tidd, b: Tidd) -> Tidd:
     Both operands are lifted one level: ``a`` onto the left half (a top table
     ``[q][q'] = q`` that reads only the left child) and ``b`` onto the right
     half (``[p][p'] = p'``).  Both lifted tables are canonical and keep the
-    operands' values, and the tensor product is their pointwise product, so
-    ``apply(TIMES, ...)`` builds it: its pair product tracks both operand
-    states, and its reduction finishes.
+    operands' values, and the tensor product is their pointwise product: the
+    pair product of the lifted layers tracks both operand states, and
+    reduction finishes.  The result is memoized in ``kron_cache`` only; the
+    lifted operands are fixed by ``(a, b)``, so an ``apply_cache`` entry would
+    never be read.
     """
     if a.level != b.level:
         raise LevelMismatch(f"levels {a.level} and {b.level}")
@@ -233,6 +235,7 @@ def kronecker(a: Tidd, b: Tidd) -> Tidd:
     m, k = a.top.num_states, b.top.num_states
     left = mgr.intern_layer(a.top, [(q,) * m for q in range(m)])
     right = mgr.intern_layer(b.top, [tuple(range(k))] * k)
-    result = apply(TIMES, Tidd(left, a.values), Tidd(right, b.values))
+    top, meta = pair_product(left, right)
+    result = canonical_tidd(top, [a.values[q] * b.values[p] for q, p in meta])
     mgr.kron_cache[key] = result
     return result

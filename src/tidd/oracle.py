@@ -61,14 +61,14 @@ def dense_function(level: int, outputs) -> DenseFunction:
 
 
 def dense_constant(level: int, v) -> DenseFunction:
-    return dense_function(level, [as_value(v)] * (1 << (1 << level)))
+    return DenseFunction(level, (as_value(v),) * (1 << (1 << level)))
 
 
 def dense_projection(level: int, index: int) -> DenseFunction:
     nvars = 1 << level
-    shift = nvars - 1 - index
-    return dense_function(
-        level, [TRUE if (i >> shift) & 1 else FALSE for i in range(1 << nvars)]
+    run = 1 << (nvars - 1 - index)  # assignments per run of equal bit `index`
+    return DenseFunction(
+        level, ((FALSE,) * run + (TRUE,) * run) * ((1 << nvars) // (2 * run))
     )
 
 
@@ -99,9 +99,25 @@ def exhaustive_equiv(f: Tidd, d: DenseFunction) -> bool:
 
 
 def dense_apply(op: BinaryOp, a: DenseFunction, b: DenseFunction) -> DenseFunction:
+    """Pointwise ``op``, evaluated once per distinct pair of operand objects.
+
+    A table holds few distinct ``Value`` objects, so the pairs repeat.  The
+    memo is keyed on object identities, which stay unique while both operand
+    tables are alive, and entries with one key share one result object.  Pairs
+    are evaluated in table order, so a failing pair raises as it would
+    entry by entry.
+    """
     if a.level != b.level:
         raise ShapeMismatch(f"levels {a.level} and {b.level}")
-    return DenseFunction(a.level, tuple(op(x, y) for x, y in zip(a.outputs, b.outputs)))
+    memo: dict[tuple[int, int], Value] = {}
+    outputs = []
+    for x, y in zip(a.outputs, b.outputs):
+        key = (id(x), id(y))
+        z = memo.get(key)
+        if z is None:
+            z = memo[key] = op(x, y)
+        outputs.append(z)
+    return DenseFunction(a.level, tuple(outputs))
 
 
 def _interleave(row: int, col: int, half_bits: int) -> int:
@@ -168,36 +184,37 @@ def dense_kron(a: DenseFunction, b: DenseFunction) -> DenseFunction:
 # ---------------------------------------------------------------------------
 # Myhill-Nerode class counting
 
-def class_count_at_level(d: DenseFunction, i: int) -> int:
-    """Number of context-equivalence classes of length-2**i substrings.
+def class_counts(d: DenseFunction) -> tuple[int, ...]:
+    """Number of context-equivalence classes of length-2**i substrings, per level i.
 
-    This is the state count any minimal diagram for d must have at level i.
-    Seeded by output values at the top level and refined downward: two
-    strings stay together iff concatenating them with every peer, on either
-    side, lands in the same class one level up.
+    ``class_counts(d)[i]`` is the state count any minimal diagram for d must
+    have at level i.  Seeded by output values at the top level and refined
+    downward in one pass: two strings stay together iff concatenating them
+    with every peer, on either side, lands in the same class one level up.
     """
+    classes: dict[Value, int] = {}
+    cls = tuple(classes.setdefault(v, len(classes)) for v in d.outputs)
+    counts = [0] * d.level + [len(classes)]
+    for j in range(d.level - 1, -1, -1):
+        count = 1 << (1 << j)
+        above = cls  # above[(w << 2**j) | u]: class of the string w || u
+        index: dict[tuple, int] = {}
+        # w's signature: its row (w as the left half) and its column (right half)
+        cls = tuple(
+            index.setdefault(
+                (above[w * count : (w + 1) * count], above[w::count]), len(index)
+            )
+            for w in range(count)
+        )
+        counts[j] = len(index)
+    return tuple(counts)
+
+
+def class_count_at_level(d: DenseFunction, i: int) -> int:
+    """Number of context-equivalence classes at level i (see `class_counts`)."""
     if not 0 <= i <= d.level:
         raise OracleScaleLimit(f"level {i} outside 0..{d.level}")
-    classes: dict[Value, int] = {}
-    cls = []
-    for v in d.outputs:
-        if v not in classes:
-            classes[v] = len(classes)
-        cls.append(classes[v])
-    for j in range(d.level - 1, i - 1, -1):
-        m_bits = 1 << j
-        count = 1 << m_bits
-        index: dict[tuple, int] = {}
-        new_cls = []
-        for w in range(count):
-            sig = tuple(cls[(w << m_bits) | u] for u in range(count)) + tuple(
-                cls[(u << m_bits) | w] for u in range(count)
-            )
-            if sig not in index:
-                index[sig] = len(index)
-            new_cls.append(index[sig])
-        cls = new_cls
-    return len(set(cls))
+    return class_counts(d)[i]
 
 
 def anti_diagonal_row_classes(n: int) -> int:

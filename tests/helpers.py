@@ -2,7 +2,8 @@
 
 The dense gate/statevector machinery here is deliberately separate from the
 package's own tensor pipeline: grids are plain lists of ring values built by
-textbook Kronecker products, so circuit tests check the diagram path against
+textbook Kronecker products, and statevectors are plain lists updated one
+amplitude pair at a time, so circuit tests check the diagram path against
 an implementation that shares nothing but the scalar type.
 """
 
@@ -79,6 +80,34 @@ def dense_gate_grid(kind, targets, n):
     return grid_add(branch0, branch1)
 
 
+def dense_gate_apply(kind, targets, n, vec):
+    """One gate on a dense statevector, as a 2x2 update of each amplitude pair.
+
+    Qubit q is bit n-1-q of the amplitude index (qubit 0 is the leftmost
+    tensor factor).  A single-qubit gate mixes each pair of amplitudes that
+    differ only in its target bit; a controlled gate mixes only the pairs
+    whose control bit is set.  O(2**n) ring operations, against the 4**n of
+    ``grid_matvec`` over ``dense_gate_grid``, which tests compare it with.
+    """
+    if kind in ("h", "x", "z", "i"):
+        (target,) = targets
+        control_mask = 0
+    else:
+        control, target = targets
+        control_mask = 1 << (n - 1 - control)
+        kind = "x" if kind == "cnot" else "z"
+    (m00, m01), (m10, m11) = GRID_2X2[kind]
+    bit = 1 << (n - 1 - target)
+    out = list(vec)
+    for i in range(1 << n):
+        if i & bit or (i & control_mask) != control_mask:
+            continue
+        u, v = vec[i], vec[i | bit]
+        out[i] = m00 * u + m01 * v
+        out[i | bit] = m10 * u + m11 * v
+    return out
+
+
 def simulate_dense(gates, n, start_bits=None):
     """Run a gate list on a dense statevector of ring values."""
     if start_bits is None:
@@ -89,7 +118,7 @@ def simulate_dense(gates, n, start_bits=None):
     vec = [V0] * (1 << n)
     vec[index] = V1
     for g in gates:
-        vec = grid_matvec(dense_gate_grid(g.kind, g.targets, g.qubits), vec)
+        vec = dense_gate_apply(g.kind, g.targets, g.qubits, vec)
     return vec
 
 

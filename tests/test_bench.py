@@ -31,7 +31,7 @@ from tidd.oracle import dense_from_tidd, dense_to_matrix, matrix_to_dense
 from tidd.builders import from_truth_table
 from tidd.values import SQRT2_HALF
 
-from helpers import dense_gate_grid, simulate_dense
+from helpers import dense_gate_apply, dense_gate_grid, grid_matvec, simulate_dense
 
 
 def test_gate_spec_validation():
@@ -65,6 +65,25 @@ def test_gates_match_dense_grids(mgr):
         assert dense_to_matrix(dense_from_tidd(g.t)) == dense_gate_grid(
             kind, targets, n
         )
+
+
+def test_dense_gate_apply_matches_the_grid_product():
+    # the per-pair reference against the textbook 2**n x 2**n grid product
+    rng = Random(34)
+    amplitudes = (Value(1, 0), Value(-2, 0), SQRT2_HALF, Value(3, -1, 2))
+    for n in (1, 2, 3, 4):
+        vec = [rng.choice(amplitudes) for _ in range(1 << n)]
+        cases = [(kind, (t,)) for kind in ("h", "x", "z", "i") for t in range(n)]
+        cases += [
+            (kind, (c, t))
+            for kind in ("cnot", "cz")
+            for c in range(n)
+            for t in range(n)
+            if c != t
+        ]
+        for kind, targets in cases:
+            expected = grid_matvec(dense_gate_grid(kind, targets, n), vec)
+            assert dense_gate_apply(kind, targets, n, vec) == expected, (kind, targets)
 
 
 def test_eight_qubit_gates_match_dense_grids(mgr):

@@ -307,3 +307,14 @@ def test_repeated_kronecker_records_one_hit(mgr):
     assert kronecker(a, b) == first
     assert mgr.stats["kronecker_hits"] == hits + 1
     assert mgr.stats["kronecker_misses"] == misses
+
+
+def test_kronecker_miss_adds_no_apply_cache_entry(mgr):
+    a = hadamard_family(mgr, 2)
+    b = equality_relation(mgr, 2)
+    entries = len(mgr.apply_cache)
+    misses = mgr.stats["kronecker_misses"]
+    kronecker(a, b)
+    assert mgr.stats["kronecker_misses"] == misses + 1
+    assert len(mgr.kron_cache) == 1
+    assert len(mgr.apply_cache) == entries

@@ -3,6 +3,8 @@ from random import Random
 import pytest
 
 from tidd import (
+    AND,
+    MINUS,
     PLUS,
     TIMES,
     Value,
@@ -15,21 +17,25 @@ from tidd import (
     state_counts,
 )
 from tidd.builders import from_truth_table
-from tidd.errors import OracleScaleLimit, ShapeMismatch
+from tidd.errors import OracleScaleLimit, ShapeMismatch, ValueDomainError
 from tidd.oracle import (
+    _BOOL_OPS,
     anti_diagonal_row_classes,
     class_count_at_level,
+    class_counts,
     dense_apply,
     dense_constant,
     dense_from_tidd,
     dense_function,
     dense_kron,
     dense_matmul,
+    dense_projection,
     dense_to_matrix,
     exhaustive_equiv,
     random_equivalence_case,
     run_equivalence_suite,
 )
+from tidd.values import BinaryOp
 
 from helpers import bits_of, random_truth_table
 
@@ -85,6 +91,70 @@ def test_dense_apply_xor_self_is_zero(mgr):
     d = dense_from_tidd(projection(mgr, 2, 1))
     boolified = dense_apply(XOR, d, d)
     assert all(v == Value(0, 0) for v in boolified.outputs)
+
+
+def elementwise(op, a, b):
+    return tuple(op(x, y) for x, y in zip(a.outputs, b.outputs))
+
+
+def test_dense_projection_and_constant_tables():
+    for level in (0, 1, 2, 3):
+        nvars = 1 << level
+        for idx in range(nvars):
+            assert dense_projection(level, idx).outputs == tuple(
+                Value(bits_of(i, nvars)[idx], 0) for i in range(1 << nvars)
+            )
+        assert dense_constant(level, -3).outputs == (Value(-3, 0),) * (1 << nvars)
+
+
+def test_dense_apply_evaluates_each_operand_pair_once():
+    calls = []
+    counted = BinaryOp("counted", lambda u, v: calls.append((u, v)) or u * v)
+    a, b = dense_projection(4, 3), dense_projection(4, 9)
+    out = dense_apply(counted, a, b)
+    assert len(calls) == 4  # (FALSE, FALSE), (FALSE, TRUE), ... in table order
+    assert out.outputs == elementwise(TIMES, a, b)
+
+
+def test_dense_apply_matches_elementwise_on_mixed_denominators():
+    rng = Random(28)
+    pool = (Value(1, 0), Value(0, 1, 1), Value(3, 0, 2), Value(-1, 1, 3), Value(5, 0))
+    for _ in range(20):
+        a = dense_function(3, [rng.choice(pool) for _ in range(256)])
+        b = dense_function(3, [rng.choice(pool) for _ in range(256)])
+        for op in (PLUS, MINUS, TIMES):
+            assert dense_apply(op, a, b).outputs == elementwise(op, a, b)
+
+
+def test_dense_apply_matches_elementwise_on_equal_distinct_objects():
+    rng = Random(29)
+    for _ in range(10):
+        # every entry its own object, with few distinct values among them
+        a = dense_function(2, [Value(rng.randint(-2, 2), 1, 1) for _ in range(16)])
+        b = dense_function(2, [Value(rng.randint(0, 1), 0) for _ in range(16)])
+        for op in (PLUS, TIMES):
+            assert dense_apply(op, a, b).outputs == elementwise(op, a, b)
+            assert dense_apply(op, b, a).outputs == elementwise(op, b, a)
+
+
+def test_dense_apply_matches_elementwise_for_every_boolean_op():
+    rng = Random(30)
+    for _ in range(10):
+        a = dense_function(2, [rng.random() < 0.5 for _ in range(16)])
+        b = dense_function(2, [rng.random() < 0.5 for _ in range(16)])
+        for op in _BOOL_OPS:
+            assert dense_apply(op, a, b).outputs == elementwise(op, a, b)
+
+
+def test_dense_apply_raises_on_the_first_non_boolean_pair():
+    a = dense_function(2, [1, 0, 2, 1, 3] + [1] * 11)
+    b = dense_projection(2, 0)
+    with pytest.raises(ValueDomainError) as reference:
+        elementwise(AND, a, b)
+    with pytest.raises(ValueDomainError) as raised:
+        dense_apply(AND, a, b)
+    assert str(raised.value) == str(reference.value)
+    assert "Value(2, 0, 0)" in str(raised.value)
 
 
 def test_dense_matmul_hadamard(mgr):
@@ -156,10 +226,21 @@ def test_class_count_matches_minimal_states(mgr):
     for level in (1, 2, 3):
         for _ in range(10):
             f = from_truth_table(mgr, level, random_truth_table(rng, level))
-            d = dense_from_tidd(f)
+            oracle_counts = class_counts(dense_from_tidd(f))
             counts = state_counts(f)
             for i in range(level + 1):
-                assert counts[i] == class_count_at_level(d, i)
+                assert counts[i] == oracle_counts[i]
+
+
+def test_class_counts_cover_every_level(mgr):
+    d = dense_from_tidd(anti_diagonal(mgr, 4))
+    counts = class_counts(d)
+    assert len(counts) == d.level + 1
+    assert counts == tuple(class_count_at_level(d, i) for i in range(d.level + 1))
+    assert counts[2] == 16 and counts[d.level] == 2
+    for bad in (-1, d.level + 1):
+        with pytest.raises(OracleScaleLimit):
+            class_count_at_level(d, bad)
 
 
 def test_anti_diagonal_row_classes_small():
