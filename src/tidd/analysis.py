@@ -22,7 +22,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from random import Random
 
-from .core import FORK, PATH_COUNTS, SAMPLE_INDEX, Layer, Tidd
+from .core import PATH_COUNTS, SAMPLE_INDEX, Layer, Tidd
 from .errors import NegativeWeight, ZeroDistribution
 
 PathCountAnnotation = tuple[tuple[int, ...], ...]
@@ -40,8 +40,7 @@ def layer_path_counts(top: Layer) -> PathCountAnnotation:
     if hit is not None:
         return hit
     layers = top.stack()
-    leaf = layers[0]
-    per_level: list[tuple[int, ...]] = [(1, 1) if leaf.kind == FORK else (2,)]
+    per_level: list[tuple[int, ...]] = [(1, 1) if layers[0].num_states == 2 else (2,)]
     for layer in layers[1:]:
         below = per_level[-1]
         counts = [0] * layer.num_states
@@ -107,7 +106,7 @@ def _sample_index(top: Layer) -> tuple[bool, tuple[Incoming, ...]]:
     levels = ((),) + tuple(
         _layer_incoming(layer, below) for layer, below in zip(layers[1:], per_level)
     )
-    result = (layers[0].kind == FORK, levels)
+    result = (layers[0].num_states == 2, levels)
     mgr.sample_index_cache[top] = result
     return result
 

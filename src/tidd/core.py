@@ -4,6 +4,9 @@ A diagram is a leveled deterministic bottom-up tree automaton over perfect
 binary assignment trees.  Each level is one Layer object holding the total
 transition table from pairs of child states to parent states; the diagram's
 top layer carries a duplicate-free value tuple, one value per final state.
+Level 0 has no table: input symbol b reaches level-0 state
+b * (num_states - 1), so a two-state leaf (a Fork) reads the symbol and a
+one-state leaf (a DontCare) ignores it.
 
 Layers are hash-consed: a manager interns every layer, so structurally equal
 layers are the *same* object and semantic equality of whole diagrams reduces
@@ -26,28 +29,24 @@ from .errors import (
 )
 from .values import Value
 
-FORK = "fork"
-DONTCARE = "dontcare"
-
 Table = tuple[tuple[int, ...], ...]
 
 
 class Layer:
     """One interned state layer.
 
-    Level 0 is a Fork (two states: symbol 0 -> state 0, symbol 1 -> state 1)
-    or a DontCare (one state reached on either symbol).  A layer at level >= 1
-    references its child layer plus a square transition table ``table[a][b]``
-    mapping child-state pairs to parent states, stored row-major in
-    first-occurrence canonical order.
+    Level 0 is a leaf with no child and no table, on which symbol b reaches
+    state b * (num_states - 1): a Fork has two states, a DontCare one.  A
+    layer at level >= 1 references its child layer plus a square transition
+    table ``table[a][b]`` mapping child-state pairs to parent states, stored
+    row-major in first-occurrence canonical order.
     """
 
-    __slots__ = ("manager", "level", "kind", "child", "table", "num_states")
+    __slots__ = ("manager", "level", "child", "table", "num_states")
 
-    def __init__(self, manager, level, kind, child, table, num_states):
+    def __init__(self, manager, level, child, table, num_states):
         self.manager = manager
         self.level = level
-        self.kind = kind            # FORK / DONTCARE at level 0, else None
         self.child = child          # Layer or None
         self.table = table          # Table or None
         self.num_states = num_states
@@ -67,7 +66,7 @@ class Layer:
 
     def __repr__(self) -> str:
         if self.is_leaf():
-            return f"<Layer L0 {self.kind}>"
+            return f"<Layer L0 {'fork' if self.num_states == 2 else 'dontcare'}>"
         return f"<Layer L{self.level} states={self.num_states}>"
 
 
@@ -109,8 +108,8 @@ class Manager:
 
     def __init__(self) -> None:
         self._layers: dict[object, Layer] = {}
-        self._fork = self._make_leaf(FORK, 2)
-        self._dontcare = self._make_leaf(DONTCARE, 1)
+        self._fork = Layer(self, 0, None, None, 2)
+        self._dontcare = Layer(self, 0, None, None, 1)
         self.pair_cache: dict = {}
         self.apply_cache: dict = {}
         self.kron_cache: dict = {}
@@ -126,23 +125,11 @@ class Manager:
         self.stats[counter[hit is None]] += 1  # counter is (hits key, misses key)
         return hit
 
-    def _make_leaf(self, kind: str, num_states: int) -> Layer:
-        layer = Layer(self, 0, kind, None, None, num_states)
-        self._layers[("leaf", kind)] = layer
-        return layer
-
     def fork(self) -> Layer:
         return self._fork
 
     def dontcare(self) -> Layer:
         return self._dontcare
-
-    def leaf(self, kind: str) -> Layer:
-        if kind == FORK:
-            return self._fork
-        if kind == DONTCARE:
-            return self._dontcare
-        raise ValueError(f"unknown level-0 kind {kind!r}")
 
     def intern_layer(self, child: Layer, table) -> Layer:
         """Intern a level >= 1 layer over an already-interned child.
@@ -164,7 +151,7 @@ class Manager:
                 f"table side {len(table)} != child state count {child.num_states}"
             )
         num_states = check_canonical_order(table)
-        layer = Layer(self, child.level + 1, None, child, table, num_states)
+        layer = Layer(self, child.level + 1, child, table, num_states)
         self._layers[key] = layer
         return layer
 
@@ -208,20 +195,22 @@ def equal(f: Tidd, g: Tidd) -> bool:
 def evaluate(f: Tidd, assignment) -> Value:
     """Run the automaton on one assignment and return the reached value.
 
-    The assignment is a sequence of 2**level bits; the perfect-binary-tree
-    shape is implicit (internal tree symbols are never materialized).
+    The assignment is a sequence of 2**level bits, each 0 or 1; the
+    perfect-binary-tree shape is implicit (internal tree symbols are never
+    materialized).
     """
     bits = tuple(int(b) for b in assignment)
     if len(bits) != 1 << f.level:
         raise AssignmentLengthMismatch(
             f"expected {1 << f.level} bits, got {len(bits)}"
         )
+    if not set(bits) <= {0, 1}:
+        raise AssignmentLengthMismatch(
+            f"entries {sorted(set(bits) - {0, 1})} are not bits"
+        )
     layers = f.top.stack()
-    leaf = layers[0]
-    if leaf.kind == FORK:
-        states = list(bits)
-    else:
-        states = [0] * len(bits)
+    last = layers[0].num_states - 1
+    states = [b * last for b in bits]
     for layer in layers[1:]:
         table = layer.table
         states = [
@@ -255,14 +244,7 @@ def validate(f: Tidd) -> ValidationReport:
     duplicate-free and match the state count; top states are distinguished by
     their values.
     """
-    layers = f.top.stack()
-    leaf = layers[0]
-    if leaf.kind == FORK and leaf.num_states != 2:
-        return _fail("2(ii) level-0 kind", "level 0", "Fork must have 2 states")
-    if leaf.kind == DONTCARE and leaf.num_states != 1:
-        return _fail("2(ii) level-0 kind", "level 0", "DontCare must have 1 state")
-
-    for layer in layers[1:]:
+    for layer in f.top.stack()[1:]:
         loc = f"level {layer.level}"
         table = layer.table
         side = layer.child.num_states
@@ -314,8 +296,8 @@ class SizeReport:
     """Size under the fixed counting convention.
 
     One node per layer.  Each layer contributes the entries of its distinct
-    table rows (a row repeated within one table is counted once); a Fork
-    level-0 node contributes 2 entries and a DontCare 1.
+    table rows (a row repeated within one table is counted once); a level-0
+    node contributes its state count (2 for a Fork, 1 for a DontCare).
     """
 
     nodes: int
@@ -328,7 +310,7 @@ def size_metrics(f: Tidd) -> SizeReport:
     edges = 0
     for layer in f.top.stack():
         if layer.is_leaf():
-            edges += 2 if layer.kind == FORK else 1
+            edges += layer.num_states
         else:
             edges += sum(len(row) for row in set(layer.table))
     return SizeReport(nodes, edges, nodes + edges)
@@ -354,7 +336,7 @@ def dump(f: Tidd) -> str:
     lines = []
     for layer in f.top.stack():
         if layer.is_leaf():
-            kind = "Fork" if layer.kind == FORK else "DontCare"
+            kind = "Fork" if layer.num_states == 2 else "DontCare"
             flat = ""
         else:
             kind = "Internal"

@@ -14,7 +14,7 @@ class ArityMismatch(TiddError):
 
 
 class AssignmentLengthMismatch(TiddError):
-    """An assignment's length does not equal 2**level."""
+    """An assignment is not a sequence of 2**level bits."""
 
 
 class IndexOutOfRange(TiddError):

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import top_path_counts
-from .builders import equality_relation, from_truth_table
-from .core import FORK, MATMUL, MATMUL_STACK, Layer, Manager, Tidd, evaluate
+from .builders import MAX_DENSE_VARS, equality_relation, from_truth_table
+from .core import MATMUL, MATMUL_STACK, Layer, Manager, Tidd, evaluate
 from .errors import ShapeMismatch
 from .ops import apply, canonical_tidd, kronecker
 from .values import TIMES, Value, ZERO
@@ -173,11 +173,6 @@ def _combine_sums(
     )
 
 
-def _bit_states(layer: Layer) -> tuple[int, int]:
-    # a DontCare leaf serves as both level-0 states of the summation
-    return (0, 1) if layer.kind == FORK else (0, 0)
-
-
 def _matmul_stack(a: Layer, b: Layer, counter) -> tuple[Layer, tuple[TripleSum, ...]]:
     """Product stack for two operand stacks; memoized on the handle pair.
 
@@ -194,8 +189,9 @@ def _matmul_stack(a: Layer, b: Layer, counter) -> tuple[Layer, tuple[TripleSum, 
     index: dict[TripleSum, int] = {}
     rows = []
     if a.level == 1:
-        sa = _bit_states(a.child)
-        sb = _bit_states(b.child)
+        # the level-0 states bits 0 and 1 reach; a DontCare's one state serves both
+        sa = (0, a.child.num_states - 1)
+        sb = (0, b.child.num_states - 1)
         for i in range(2):
             row = []
             for j in range(2):
@@ -267,11 +263,11 @@ def vector_amplitudes(v: VectorTidd) -> list[Value]:
     return amps
 
 
-def is_column_replicated(m: MatrixTidd, max_qubits: int = 8) -> bool:
+def is_column_replicated(m: MatrixTidd) -> bool:
     """Exhaustively check the vector invariant entry(r, c) == entry(r, c')."""
     n = m.qubits
-    if n > max_qubits:
-        raise ShapeMismatch(f"replication check limited to {max_qubits} qubits")
+    if 2 * n > MAX_DENSE_VARS:
+        raise ShapeMismatch(f"replication check limited to {MAX_DENSE_VARS} variables")
     for r in range(1 << n):
         reference = None
         for c in range(1 << n):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .core import APPLY, DONTCARE, FORK, KRONECKER, PAIR_PRODUCT, Layer, Table, Tidd
+from .core import APPLY, KRONECKER, PAIR_PRODUCT, Layer, Table, Tidd
 from .errors import LevelMismatch
 from .values import BinaryOp, TIMES, Value, as_value
 
@@ -40,14 +40,6 @@ def canonical_renumber(table) -> tuple[Table, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # pair product
 
-_LEVEL0_PAIRS: dict[tuple[str, str], tuple[str, PairMeta]] = {
-    (DONTCARE, DONTCARE): (DONTCARE, ((0, 0),)),
-    (FORK, DONTCARE): (FORK, ((0, 0), (1, 0))),
-    (DONTCARE, FORK): (FORK, ((0, 0), (0, 1))),
-    (FORK, FORK): (FORK, ((0, 0), (1, 1))),
-}
-
-
 def pair_product(a: Layer, b: Layer) -> tuple[Layer, PairMeta]:
     """Cross product of two layer stacks of equal level.
 
@@ -66,8 +58,9 @@ def pair_product(a: Layer, b: Layer) -> tuple[Layer, PairMeta]:
         return hit
 
     if a.is_leaf():
-        kind, meta = _LEVEL0_PAIRS[(a.kind, b.kind)]
-        result = (mgr.leaf(kind), meta)
+        # symbol s reaches state s * (num_states - 1) on each operand
+        meta = tuple(dict.fromkeys(((0, 0), (a.num_states - 1, b.num_states - 1))))
+        result = (mgr.fork() if len(meta) == 2 else mgr.dontcare(), meta)
     else:
         child, child_meta = pair_product(a.child, b.child)
         index: dict[tuple[int, int], int] = {}

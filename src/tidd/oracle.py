@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .builders import MAX_DENSE_VARS, constant, projection
-from .core import FORK, Manager, Tidd
+from .core import Manager, Tidd
 from .errors import OracleScaleLimit, ShapeMismatch
 from .ops import apply
 from .values import (
@@ -76,10 +76,7 @@ def dense_from_tidd(f: Tidd) -> DenseFunction:
     """Tabulate a diagram by running the state map over all strings per level."""
     _check_scale(f.num_vars)
     layers = f.top.stack()
-    if layers[0].kind == FORK:
-        states = [0, 1]
-    else:
-        states = [0, 0]
+    states = [0, layers[0].num_states - 1]  # the states symbols 0 and 1 reach
     for layer in layers[1:]:
         half_bits = 1 << (layer.level - 1)
         mask = (1 << half_bits) - 1
@@ -120,34 +117,32 @@ def dense_apply(op: BinaryOp, a: DenseFunction, b: DenseFunction) -> DenseFuncti
     return DenseFunction(a.level, tuple(outputs))
 
 
-def _interleave(row: int, col: int, half_bits: int) -> int:
-    out = 0
+def _spread_table(half_bits: int) -> list[int]:
+    """``spread[x]`` moves bit i of x to bit 2i, for x below 2**half_bits.
+
+    Entry (r, c) of an interleaved matrix function sits at index
+    ``spread[r] << 1 | spread[c]``.
+    """
+    spread = [0]
     for i in range(half_bits):
-        r = (row >> (half_bits - 1 - i)) & 1
-        c = (col >> (half_bits - 1 - i)) & 1
-        out = (out << 2) | (r << 1) | c
-    return out
+        spread += [s | 1 << (2 * i) for s in spread]
+    return spread
 
 
 def dense_to_matrix(d: DenseFunction) -> list[list[Value]]:
     """Decode an interleaved row/column function into a square value grid."""
     if d.level < 1:
         raise ShapeMismatch("matrix functions need at least 2 variables")
-    half_bits = 1 << (d.level - 1)
-    side = 1 << half_bits
-    return [
-        [d.outputs[_interleave(r, c, half_bits)] for c in range(side)]
-        for r in range(side)
-    ]
+    spread = _spread_table(1 << (d.level - 1))
+    return [[d.outputs[r << 1 | c] for c in spread] for r in spread]
 
 
 def matrix_to_dense(grid: list[list[Value]], level: int) -> DenseFunction:
-    half_bits = 1 << (level - 1)
-    side = 1 << half_bits
+    spread = _spread_table(1 << (level - 1))
     outputs = [FALSE] * (1 << (1 << level))
-    for r in range(side):
-        for c in range(side):
-            outputs[_interleave(r, c, half_bits)] = as_value(grid[r][c])
+    for r, sr in enumerate(spread):
+        for c, sc in enumerate(spread):
+            outputs[sr << 1 | sc] = as_value(grid[r][c])
     return DenseFunction(level, tuple(outputs))
 
 

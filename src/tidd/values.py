@@ -124,13 +124,6 @@ class Value:
     def is_boolean(self) -> bool:
         return self.b == 0 and self.k == 0 and (self.a == 0 or self.a == 1)
 
-    def as_bool(self) -> bool:
-        if self == TRUE:
-            return True
-        if self == FALSE:
-            return False
-        raise ValueDomainError(f"{self!r} is not a boolean value")
-
     def fixed_point(self, precision: int = 128) -> int:
         """Round to an integer numerator over 2**(precision + k).
 

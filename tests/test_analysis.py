@@ -19,7 +19,7 @@ from tidd import (
     top_path_counts,
 )
 from tidd.analysis import sample_weights
-from tidd.core import FORK, evaluate
+from tidd.core import evaluate
 from tidd.errors import NegativeWeight, ZeroDistribution
 from tidd.builders import from_truth_table
 
@@ -34,7 +34,7 @@ def brute_force_counts(f):
         counts = [0] * layer.num_states
         for w in range(1 << (1 << i)):
             bits = bits_of(w, 1 << i)
-            states = list(bits) if layers[0].kind == FORK else [0] * len(bits)
+            states = list(bits) if layers[0].num_states == 2 else [0] * len(bits)
             for lay in layers[1 : i + 1]:
                 states = [
                     lay.table[states[j]][states[j + 1]]

@@ -21,7 +21,7 @@ from tidd import (
     validate,
 )
 from tidd.builders import anti_diagonal_fold_profile
-from tidd.core import DONTCARE, Tidd
+from tidd.core import Tidd
 from tidd.errors import (
     IndexOutOfRange,
     NotPowerOfTwo,
@@ -33,7 +33,7 @@ from helpers import bits_of, random_truth_table
 
 
 def test_no_distinction_proto(mgr):
-    assert no_distinction_proto(mgr, 0).kind == DONTCARE
+    assert no_distinction_proto(mgr, 0) is mgr.dontcare()
     proto = no_distinction_proto(mgr, 3)
     assert proto.num_states == 1
     f = Tidd(proto, (Value(9, 0),))

@@ -86,6 +86,20 @@ def test_evaluate_wrong_length(mgr):
         evaluate(h2, (0, 1, 0))
 
 
+@pytest.mark.parametrize(
+    "build, assignment",
+    [
+        (lambda mgr: projection(mgr, 1, 0), (-1, 0)),
+        (lambda mgr: projection(mgr, 1, 0), (2, 0)),
+        (lambda mgr: constant(mgr, 1, 7), (2, 5)),
+    ],
+    ids=["fork-minus-one", "fork-two", "dontcare-two-five"],
+)
+def test_evaluate_rejects_non_bits(mgr, build, assignment):
+    with pytest.raises(AssignmentLengthMismatch):
+        evaluate(build(mgr), assignment)
+
+
 def test_evaluate_totality(mgr):
     f = equality_relation(mgr, 2)
     for i in range(16):

@@ -177,6 +177,13 @@ def test_vector_from_basis_state(mgr):
     assert is_column_replicated(v.t)
 
 
+def test_replication_check_refuses_sixteen_qubits(mgr):
+    # 2n = 32 variables, beyond the shared dense-enumeration cap
+    v = vector_from_basis_state(mgr, 16, (0,) * 16)
+    with pytest.raises(ShapeMismatch):
+        is_column_replicated(v.t)
+
+
 def test_vector_wrong_length(mgr):
     with pytest.raises(ShapeMismatch):
         vector_from_basis_state(mgr, 2, (0, 0, 1))

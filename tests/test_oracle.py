@@ -32,6 +32,7 @@ from tidd.oracle import (
     dense_projection,
     dense_to_matrix,
     exhaustive_equiv,
+    matrix_to_dense,
     random_equivalence_case,
     run_equivalence_suite,
 )
@@ -170,6 +171,33 @@ def test_dense_matmul_identity(mgr):
     a = dense_function(2, random_truth_table(rng, 2))
     assert dense_matmul(i2, a).outputs == a.outputs
     assert dense_matmul(a, i2).outputs == a.outputs
+
+
+def bitwise_interleave(row, col, half_bits):
+    """Index of matrix entry (row, col): row and column bits alternate, row
+    bit first, most significant pair first."""
+    out = 0
+    for i in range(half_bits - 1, -1, -1):
+        out = (out << 2) | ((row >> i) & 1) << 1 | ((col >> i) & 1)
+    return out
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_matrix_decoding_matches_a_bitwise_interleave(level):
+    half_bits = 1 << (level - 1)
+    side = 1 << half_bits
+    # distinct entries, so any misplaced index shows
+    d = dense_function(level, range(1 << (1 << level)))
+    grid = [[Value(r * side + c, 0) for c in range(side)] for r in range(side)]
+    decoded = dense_to_matrix(d)
+    encoded = matrix_to_dense(grid, level)
+    for r in range(side):
+        for c in range(side):
+            index = bitwise_interleave(r, c, half_bits)
+            assert decoded[r][c] == Value(index, 0)
+            assert encoded.outputs[index] == grid[r][c]
+    assert matrix_to_dense(decoded, level).outputs == d.outputs
+    assert dense_to_matrix(encoded) == grid
 
 
 def test_dense_ring_axioms_random():
