@@ -10,8 +10,9 @@ partition 2**(2**l), which exceeds machine words at l >= 6.
 Sampling draws an assignment with probability proportional to its value: a
 top state is drawn by weight W(q) = V(q) * pathcount(q), then one incoming
 transition per level, then uniform bits at DontCare leaves.  Draws against
-irrational exact weights use 128-bit-mantissa fixed-point approximations of
-the cumulative weights over one common denominator; sign checks stay exact.
+irrational exact weights use fixed-point approximations of the cumulative
+weights, with ``values.FIXED_POINT_BITS`` (128) mantissa bits over one common
+denominator; sign checks stay exact.
 The incoming transitions of every state, with their cumulative weights, are
 indexed once per top layer and cached on the manager.
 """
@@ -30,15 +31,14 @@ PathCountAnnotation = tuple[tuple[int, ...], ...]
 # their cumulative weights pathcount(a) * pathcount(b).
 Incoming = tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], ...]
 
-_FIXED_POINT_BITS = 128
-
 
 def layer_path_counts(top: Layer) -> PathCountAnnotation:
     """Counts per level (level 0 first), cached on the manager."""
     mgr = top.manager
-    hit = mgr.lookup(mgr.path_count_cache, top, PATH_COUNTS)
-    if hit is not None:
-        return hit
+    return mgr.memo(mgr.path_count_cache, top, PATH_COUNTS, _count_paths, top)
+
+
+def _count_paths(top: Layer) -> PathCountAnnotation:
     layers = top.stack()
     per_level: list[tuple[int, ...]] = [(1, 1) if layers[0].num_states == 2 else (2,)]
     for layer in layers[1:]:
@@ -48,9 +48,7 @@ def layer_path_counts(top: Layer) -> PathCountAnnotation:
             for b, q in enumerate(row):
                 counts[q] += below[a] * below[b]
         per_level.append(tuple(counts))
-    result = tuple(per_level)
-    mgr.path_count_cache[top] = result
-    return result
+    return tuple(per_level)
 
 
 def path_counts(f: Tidd) -> PathCountAnnotation:
@@ -65,8 +63,9 @@ def top_path_counts(f: Tidd) -> tuple[int, ...]:
 def sample_weights(f: Tidd) -> list[int]:
     """Fixed-point top-state weights W(q) = V(q) * pathcount(q).
 
-    All weights share the denominator 2**(128 + k), k the largest top-value
-    exponent.  Raises NegativeWeight if any top value is exactly negative.
+    All weights share the denominator 2**(FIXED_POINT_BITS + k), k the
+    largest top-value exponent.  Raises NegativeWeight if any top value is
+    exactly negative.
     """
     counts = top_path_counts(f)
     k = max(v.k for v in f.values)
@@ -74,7 +73,7 @@ def sample_weights(f: Tidd) -> list[int]:
     for v, c in zip(f.values, counts):
         if v.sign() < 0:
             raise NegativeWeight(f"top value {v!r} is negative")
-        weights.append((v.fixed_point(_FIXED_POINT_BITS) << (k - v.k)) * c)
+        weights.append((v.fixed_point() << (k - v.k)) * c)
     return weights
 
 
@@ -96,19 +95,13 @@ def _layer_incoming(layer: Layer, below: tuple[int, ...]) -> Incoming:
 
 def _sample_index(top: Layer) -> tuple[bool, tuple[Incoming, ...]]:
     """Whether the leaf is a Fork, and the incoming index of every level
-    (level 0 holds an empty entry); cached on the manager."""
-    mgr = top.manager
-    hit = mgr.lookup(mgr.sample_index_cache, top, SAMPLE_INDEX)
-    if hit is not None:
-        return hit
+    (level 0 holds an empty entry)."""
     layers = top.stack()
     per_level = layer_path_counts(top)
     levels = ((),) + tuple(
         _layer_incoming(layer, below) for layer, below in zip(layers[1:], per_level)
     )
-    result = (layers[0].num_states == 2, levels)
-    mgr.sample_index_cache[top] = result
-    return result
+    return layers[0].num_states == 2, levels
 
 
 def sample(f: Tidd, rng: Random) -> tuple[int, ...]:
@@ -120,7 +113,10 @@ def sample(f: Tidd, rng: Random) -> tuple[int, ...]:
     weights = sample_weights(f)
     if not any(weights):
         raise ZeroDistribution("all top-state weights are zero")
-    fork, levels = _sample_index(f.top)
+    mgr = f.manager
+    fork, levels = mgr.memo(
+        mgr.sample_index_cache, f.top, SAMPLE_INDEX, _sample_index, f.top
+    )
     out: list[int] = []
     pending = [(f.level, _draw(rng, weights))]
     while pending:

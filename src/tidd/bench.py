@@ -107,9 +107,9 @@ def bv_secret(n: int, seed: int) -> tuple[int, ...]:
 def bv_circuit(n: int, s) -> list[GateSpec]:
     """Bernstein-Vazirani with a phase oracle: H layer, (-1)**(s.x), H layer."""
     _require_power_of_two(n)
-    s = tuple(int(b) for b in s)
-    if len(s) != n:
-        raise GateSpecError(f"secret length {len(s)} != qubit count {n}")
+    s = tuple(s)
+    if len(s) != n or any(b not in (0, 1) for b in s):
+        raise GateSpecError(f"secret {s!r} is not {n} bits")
     layer = [gate("h", i, n) for i in range(n)]
     oracle = [gate("z", i, n) for i in range(n) if s[i]]
     return layer + oracle + list(layer)

@@ -19,8 +19,8 @@ from .errors import (
 from .ops import apply, canonical_tidd
 from .values import AND, FALSE, ONE, TRUE, Value, XOR, ZERO, as_value
 
-# The one scale cap on dense enumeration: truth tables here and every table
-# the brute-force oracle builds.
+# The one scale cap on dense enumeration: truth tables here, the widest
+# anti-diagonal table, and every table the brute-force oracle builds.
 MAX_DENSE_VARS = 16
 
 
@@ -130,9 +130,14 @@ def _anti_diagonal_prefixes(mgr: Manager, n: int) -> list[Tidd]:
 
     The matrix is read row-major over n*n variables; row i contributes the
     factor NOT x_{i*n + n-1-i}, and-ed onto the conjunction of rows 0..i-1.
+    The widest table has 2**(2n) entries, so n is capped by MAX_DENSE_VARS.
     """
     if n < 2 or n & (n - 1):
         raise NotPowerOfTwo(f"matrix size {n} is not a power of two >= 2")
+    if 2 * n > MAX_DENSE_VARS:
+        raise OracleScaleLimit(
+            f"anti-diagonal family is desk-scale only (n <= {MAX_DENSE_VARS // 2})"
+        )
     level = 2 * (n.bit_length() - 1)
     prefixes: list[Tidd] = []
     for i in range(n):

@@ -24,8 +24,6 @@ from .core import Manager, size_metrics, total_states
 from .errors import TiddError
 from .oracle import run_equivalence_suite
 
-MAX_ANTI_DIAGONAL = 8  # the n=16 diagram needs ~2^32 table entries
-
 
 def _emit(fmt: str, header: list[str], row: list) -> None:
     if fmt == "json":
@@ -40,10 +38,6 @@ def _build_family(mgr: Manager, kind: str, n: int):
         return hadamard_family(mgr, n)
     if kind == "eq":
         return equality_relation(mgr, n)
-    if n > MAX_ANTI_DIAGONAL:
-        raise TiddError(
-            f"anti-diagonal family is desk-scale only (n <= {MAX_ANTI_DIAGONAL})"
-        )
     return anti_diagonal(mgr, n)
 
 

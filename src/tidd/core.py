@@ -15,7 +15,8 @@ to a handle comparison plus a value-tuple comparison.
 Concurrency: layers and diagrams are immutable and freely shareable between
 threads for reading.  The interning and memo tables live on the manager and
 are not synchronized; mutating operations on one manager must be externally
-serialized.  One manager per process is the default.
+serialized.  One manager per process is the default.  Every operation
+cache is read, counted and filled through one method, ``Manager.memo``.
 """
 
 from __future__ import annotations
@@ -90,9 +91,10 @@ def check_canonical_order(table: Table) -> int:
     return next_new
 
 
-# The (hits, misses) keys of Manager.stats that each operation-cache read is
-# counted under.  MATMUL and MATMUL_STACK both read matmul_cache: a matmul
-# call's top layer pair, and the child pairs of the product stack below it.
+# The (hits, misses) keys of Manager.stats that Manager.memo counts each
+# operation-cache read under.  MATMUL and MATMUL_STACK both read matmul_cache:
+# a matmul call's top layer pair, and the child pairs of the product stack
+# below it.
 COUNTERS = tuple(
     (f"{name}_hits", f"{name}_misses")
     for name in (
@@ -104,7 +106,10 @@ PAIR_PRODUCT, APPLY, KRONECKER, MATMUL, MATMUL_STACK, PATH_COUNTS, SAMPLE_INDEX 
 
 
 class Manager:
-    """Owner of the interning table and all operation caches."""
+    """Owner of the interning table and all operation caches.
+
+    Every operation cache is read and written through ``memo`` only.
+    """
 
     def __init__(self) -> None:
         self._layers: dict[object, Layer] = {}
@@ -119,10 +124,16 @@ class Manager:
         self.sample_index_cache: dict = {}
         self.stats = {key: 0 for counter in COUNTERS for key in counter}
 
-    def lookup(self, cache: dict, key, counter: tuple[str, str]):
-        """``cache[key]`` or None (no result is None), counted under ``counter``."""
+    def memo(self, cache: dict, key, counter: tuple[str, str], compute, *args):
+        """``cache[key]``, or ``compute(*args)`` stored under ``key``.
+
+        Each read adds one hit or one miss to ``stats`` under ``counter``
+        (hits key, misses key).  No cached result is None.
+        """
         hit = cache.get(key)
-        self.stats[counter[hit is None]] += 1  # counter is (hits key, misses key)
+        self.stats[counter[hit is None]] += 1
+        if hit is None:
+            hit = cache[key] = compute(*args)
         return hit
 
     def fork(self) -> Layer:
@@ -199,18 +210,16 @@ def evaluate(f: Tidd, assignment) -> Value:
     perfect-binary-tree shape is implicit (internal tree symbols are never
     materialized).
     """
-    bits = tuple(int(b) for b in assignment)
+    bits = tuple(assignment)
     if len(bits) != 1 << f.level:
         raise AssignmentLengthMismatch(
             f"expected {1 << f.level} bits, got {len(bits)}"
         )
-    if not set(bits) <= {0, 1}:
-        raise AssignmentLengthMismatch(
-            f"entries {sorted(set(bits) - {0, 1})} are not bits"
-        )
+    if any(b not in (0, 1) for b in bits):
+        raise AssignmentLengthMismatch(f"{bits!r} is not a sequence of bits")
     layers = f.top.stack()
     last = layers[0].num_states - 1
-    states = [b * last for b in bits]
+    states = [int(b) * last for b in bits]
     for layer in layers[1:]:
         table = layer.table
         states = [

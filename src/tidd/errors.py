@@ -50,7 +50,7 @@ class ZeroDistribution(TiddError):
 
 
 class OracleScaleLimit(TiddError):
-    """The brute-force oracle was asked to enumerate beyond its scale guard."""
+    """A dense enumeration was asked to go beyond the MAX_DENSE_VARS scale guard."""
 
 
 class GateSpecError(TiddError):

@@ -125,9 +125,9 @@ def vector_from_basis_state(mgr: Manager, qubits: int, bits) -> VectorTidd:
     qubit, |b><+| with <+| = (1, 1) unnormalized: |1><+| on the set bits,
     folded over the tensor powers of |0><+|.
     """
-    bits = tuple(int(b) for b in bits)
-    if len(bits) != qubits:
-        raise ShapeMismatch(f"{len(bits)} bits for {qubits} qubits")
+    bits = tuple(bits)
+    if len(bits) != qubits or any(b not in (0, 1) for b in bits):
+        raise ShapeMismatch(f"{bits!r} is not {qubits} bits")
     matrix_level(qubits)  # ShapeMismatch unless a power of two
     ket1 = from_truth_table(mgr, 1, (0, 0, 1, 1))  # |1><+|, row-major over (x, y)
     factors = {i: ket1 for i, b in enumerate(bits) if b}
@@ -181,11 +181,11 @@ def _matmul_stack(a: Layer, b: Layer, counter) -> tuple[Layer, tuple[TripleSum, 
     MATMUL for a matmul call's top pair, MATMUL_STACK for the pairs below.
     """
     mgr = a.manager
-    key = (a, b)
-    hit = mgr.lookup(mgr.matmul_cache, key, counter)
-    if hit is not None:
-        return hit
+    return mgr.memo(mgr.matmul_cache, (a, b), counter, _product_stack, a, b)
 
+
+def _product_stack(a: Layer, b: Layer) -> tuple[Layer, tuple[TripleSum, ...]]:
+    mgr = a.manager
     index: dict[TripleSum, int] = {}
     rows = []
     if a.level == 1:
@@ -214,10 +214,7 @@ def _matmul_stack(a: Layer, b: Layer, counter) -> tuple[Layer, tuple[TripleSum, 
                 s = _combine_sums(mgr, left_rows, right, shift)
                 row.append(index.setdefault(s, len(index)))
             rows.append(tuple(row))
-    layer = mgr.intern_layer(child, tuple(rows))
-    result = (layer, tuple(index))
-    mgr.matmul_cache[key] = result
-    return result
+    return mgr.intern_layer(child, tuple(rows)), tuple(index)
 
 
 def matmul(a: MatrixTidd, b: MatrixTidd) -> MatrixTidd:

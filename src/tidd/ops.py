@@ -52,35 +52,31 @@ def pair_product(a: Layer, b: Layer) -> tuple[Layer, PairMeta]:
     if a.level != b.level:
         raise LevelMismatch(f"levels {a.level} and {b.level}")
     mgr = a.manager
-    key = (a, b)
-    hit = mgr.lookup(mgr.pair_cache, key, PAIR_PRODUCT)
-    if hit is not None:
-        return hit
+    return mgr.memo(mgr.pair_cache, (a, b), PAIR_PRODUCT, _pair_product, a, b)
 
+
+def _pair_product(a: Layer, b: Layer) -> tuple[Layer, PairMeta]:
+    mgr = a.manager
     if a.is_leaf():
         # symbol s reaches state s * (num_states - 1) on each operand
         meta = tuple(dict.fromkeys(((0, 0), (a.num_states - 1, b.num_states - 1))))
-        result = (mgr.fork() if len(meta) == 2 else mgr.dontcare(), meta)
-    else:
-        child, child_meta = pair_product(a.child, b.child)
-        index: dict[tuple[int, int], int] = {}
-        rows = []
-        for c1 in range(child.num_states):
-            qa, pa = child_meta[c1]
-            row = []
-            for c2 in range(child.num_states):
-                qb, pb = child_meta[c2]
-                pair = (a.table[qa][qb], b.table[pa][pb])
-                idx = index.get(pair)
-                if idx is None:
-                    idx = len(index)
-                    index[pair] = idx
-                row.append(idx)
-            rows.append(tuple(row))
-        layer = mgr.intern_layer(child, tuple(rows))
-        result = (layer, tuple(index))
-    mgr.pair_cache[key] = result
-    return result
+        return mgr.fork() if len(meta) == 2 else mgr.dontcare(), meta
+    child, child_meta = pair_product(a.child, b.child)
+    index: dict[tuple[int, int], int] = {}
+    rows = []
+    for c1 in range(child.num_states):
+        qa, pa = child_meta[c1]
+        row = []
+        for c2 in range(child.num_states):
+            qb, pb = child_meta[c2]
+            pair = (a.table[qa][qb], b.table[pa][pb])
+            idx = index.get(pair)
+            if idx is None:
+                idx = len(index)
+                index[pair] = idx
+            row.append(idx)
+        rows.append(tuple(row))
+    return mgr.intern_layer(child, tuple(rows)), tuple(index)
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +184,12 @@ def apply(op: BinaryOp, f: Tidd, g: Tidd) -> Tidd:
     if f.level != g.level:
         raise LevelMismatch(f"levels {f.level} and {g.level}")
     mgr = f.manager
-    key = (op.name, f, g)
-    hit = mgr.lookup(mgr.apply_cache, key, APPLY)
-    if hit is not None:
-        return hit
+    return mgr.memo(mgr.apply_cache, (op.name, f, g), APPLY, _apply, op, f, g)
+
+
+def _apply(op: BinaryOp, f: Tidd, g: Tidd) -> Tidd:
     top, meta = pair_product(f.top, g.top)
-    raw_values = [op(f.values[q], g.values[p]) for q, p in meta]
-    result = canonical_tidd(top, raw_values)
-    mgr.apply_cache[key] = result
-    return result
+    return canonical_tidd(top, [op(f.values[q], g.values[p]) for q, p in meta])
 
 
 def scalar_multiply(c: Value | int, f: Tidd) -> Tidd:
@@ -212,23 +205,20 @@ def kronecker(a: Tidd, b: Tidd) -> Tidd:
     Both operands are lifted one level: ``a`` onto the left half (a top table
     ``[q][q'] = q`` that reads only the left child) and ``b`` onto the right
     half (``[p][p'] = p'``).  Both lifted tables are canonical and keep the
-    operands' values, and the tensor product is their pointwise product: the
-    pair product of the lifted layers tracks both operand states, and
-    reduction finishes.  The result is memoized in ``kron_cache`` only; the
-    lifted operands are fixed by ``(a, b)``, so an ``apply_cache`` entry would
-    never be read.
+    operands' values, and the tensor product is their pointwise product, so
+    a miss runs the uncached ``apply`` body on them.  The result is memoized
+    in ``kron_cache`` only; the lifted operands are fixed by ``(a, b)``, so
+    an ``apply_cache`` entry would never be read.
     """
     if a.level != b.level:
         raise LevelMismatch(f"levels {a.level} and {b.level}")
     mgr = a.manager
-    key = (a, b)
-    hit = mgr.lookup(mgr.kron_cache, key, KRONECKER)
-    if hit is not None:
-        return hit
+    return mgr.memo(mgr.kron_cache, (a, b), KRONECKER, _kronecker, a, b)
+
+
+def _kronecker(a: Tidd, b: Tidd) -> Tidd:
+    mgr = a.manager
     m, k = a.top.num_states, b.top.num_states
     left = mgr.intern_layer(a.top, [(q,) * m for q in range(m)])
     right = mgr.intern_layer(b.top, [tuple(range(k))] * k)
-    top, meta = pair_product(left, right)
-    result = canonical_tidd(top, [a.values[q] * b.values[p] for q, p in meta])
-    mgr.kron_cache[key] = result
-    return result
+    return _apply(TIMES, Tidd(left, a.values), Tidd(right, b.values))

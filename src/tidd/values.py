@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 from .errors import ValueDomainError
 
-
-@cache
-def _scaled_sqrt2(precision: int) -> int:
-    """floor(sqrt(2) * 2**precision)."""
-    return math.isqrt(2 << (2 * precision))
+# The one fixed-point precision (mantissa bits) of sampling draws, and
+# floor(sqrt(2) * 2**FIXED_POINT_BITS).
+FIXED_POINT_BITS = 128
+_SCALED_SQRT2 = math.isqrt(2 << (2 * FIXED_POINT_BITS))
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,13 +122,13 @@ class Value:
     def is_boolean(self) -> bool:
         return self.b == 0 and self.k == 0 and (self.a == 0 or self.a == 1)
 
-    def fixed_point(self, precision: int = 128) -> int:
-        """Round to an integer numerator over 2**(precision + k).
+    def fixed_point(self) -> int:
+        """Round to an integer numerator over 2**(FIXED_POINT_BITS + k).
 
         Used only for cumulative sampling draws; all comparisons that affect
         correctness (signs, equality) stay exact.
         """
-        return (self.a << precision) + self.b * _scaled_sqrt2(precision)
+        return (self.a << FIXED_POINT_BITS) + self.b * _SCALED_SQRT2
 
     def to_float(self) -> float:
         return (self.a + self.b * math.sqrt(2.0)) / (1 << self.k)
@@ -202,5 +200,3 @@ AND = BinaryOp("and", _and)
 OR = BinaryOp("or", _or)
 XOR = BinaryOp("xor", _xor)
 FIRST = BinaryOp("first", lambda u, v: u)
-
-OPS = {op.name: op for op in (PLUS, MINUS, TIMES, AND, OR, XOR, FIRST)}

@@ -26,12 +26,17 @@ GRID_2X2 = {
 }
 
 
+def _times(x, y):
+    """x * y, with an exact 0 or 1 factor placed rather than multiplied."""
+    if x == V0 or y == V0:
+        return V0
+    if x == V1:
+        return y
+    return x if y == V1 else x * y
+
+
 def grid_kron(a, b):
-    out = []
-    for row_a in a:
-        for row_b in b:
-            out.append([x * y for x in row_a for y in row_b])
-    return out
+    return [[_times(x, y) for x in row_a for y in row_b] for row_a in a for row_b in b]
 
 
 def grid_matmul(a, b):

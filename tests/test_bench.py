@@ -178,6 +178,13 @@ def test_bv_final_state_is_secret(mgr):
         assert vector_amplitudes(state) == simulate_dense(bv_circuit(n, s), n)
 
 
+def test_bv_secret_must_be_bits():
+    for s in ((2, 0), (-1, 0), (0.5, 0)):
+        with pytest.raises(GateSpecError):
+            bv_circuit(2, s)
+    assert bv_circuit(2, (True, False)) == bv_circuit(2, (1, 0))
+
+
 def test_dj_constant_returns_zeros(mgr):
     state, _ = run_circuit(
         mgr, dj_circuit(8, "constant"), vector_from_basis_state(mgr, 8, (0,) * 8)

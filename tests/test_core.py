@@ -92,12 +92,19 @@ def test_evaluate_wrong_length(mgr):
         (lambda mgr: projection(mgr, 1, 0), (-1, 0)),
         (lambda mgr: projection(mgr, 1, 0), (2, 0)),
         (lambda mgr: constant(mgr, 1, 7), (2, 5)),
+        (lambda mgr: projection(mgr, 1, 0), (1.5, 0)),
+        (lambda mgr: projection(mgr, 1, 0), ("a", 0)),
     ],
-    ids=["fork-minus-one", "fork-two", "dontcare-two-five"],
+    ids=["fork-minus-one", "fork-two", "dontcare-two-five", "fork-one-and-a-half", "fork-letter"],
 )
 def test_evaluate_rejects_non_bits(mgr, build, assignment):
     with pytest.raises(AssignmentLengthMismatch):
         evaluate(build(mgr), assignment)
+
+
+def test_evaluate_accepts_booleans(mgr):
+    f = projection(mgr, 1, 0)
+    assert evaluate(f, (True, False)) == evaluate(f, (1, 0))
 
 
 def test_evaluate_totality(mgr):

@@ -189,6 +189,15 @@ def test_vector_wrong_length(mgr):
         vector_from_basis_state(mgr, 2, (0, 0, 1))
     with pytest.raises(ShapeMismatch):
         vector_from_basis_state(mgr, 3, (1, 0, 0))
+    for bits in ((2, 0), (-1, 0)):
+        with pytest.raises(ShapeMismatch):
+            vector_from_basis_state(mgr, 2, bits)
+
+
+def test_basis_state_accepts_booleans(mgr):
+    assert vector_from_basis_state(mgr, 2, (True, False)) == vector_from_basis_state(
+        mgr, 2, (1, 0)
+    )
 
 
 def projection_fold_basis_state(mgr, qubits, bits):
