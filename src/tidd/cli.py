@@ -25,6 +25,17 @@ from .errors import TiddError
 from .oracle import run_equivalence_suite
 
 
+def _count(text: str) -> int:
+    """An argparse type for a repetition count: an integer of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"{count} is not at least 1")
+    return count
+
+
 def _emit(fmt: str, header: list[str], row: list) -> None:
     if fmt == "json":
         print(json.dumps(dict(zip(header, row))))
@@ -107,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle equivalence suite")
     p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--cases", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_verify)
@@ -122,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample assignments from a family")
     p.add_argument("--kind", choices=("eq", "hn"), default="eq")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--shots", type=int, default=100)
+    p.add_argument("--shots", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_sample)

@@ -104,6 +104,17 @@ COUNTERS = tuple(
 )
 PAIR_PRODUCT, APPLY, KRONECKER, MATMUL, MATMUL_STACK, PATH_COUNTS, SAMPLE_INDEX = COUNTERS
 
+# The Manager operation cache that each counter's reads go to.
+CACHE_OF = {
+    PAIR_PRODUCT: "pair_cache",
+    APPLY: "apply_cache",
+    KRONECKER: "kron_cache",
+    MATMUL: "matmul_cache",
+    MATMUL_STACK: "matmul_cache",
+    PATH_COUNTS: "path_count_cache",
+    SAMPLE_INDEX: "sample_index_cache",
+}
+
 
 class Manager:
     """Owner of the interning table and all operation caches.
@@ -135,6 +146,23 @@ class Manager:
         if hit is None:
             hit = cache[key] = compute(*args)
         return hit
+
+    def snapshot(self) -> dict[str, dict[str, int]]:
+        """One entry per interning table and operation cache, as plain dicts.
+
+        Each entry holds the table's ``size``.  An operation cache also holds
+        the ``stats`` hits and misses of every counter that reads it (see
+        ``CACHE_OF``); ``_layers`` and ``triple_sums`` report their size only.
+        """
+        out = {
+            name: {"size": len(table)}
+            for name, table in vars(self).items()
+            if isinstance(table, dict) and table is not self.stats
+        }
+        for counter, name in CACHE_OF.items():
+            for key in counter:
+                out[name][key] = self.stats[key]
+        return out
 
     def fork(self) -> Layer:
         return self._fork

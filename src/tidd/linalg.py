@@ -12,9 +12,16 @@ state at each level is a formal sum of weighted triples (q, p, w): operand
 states q and p reached on the row/inner and inner/column halves of a block,
 with w counting the inner-index bit patterns that realize the pair.  Triples
 with equal state pairs merge by adding weights; a formal sum is canonical
-when its (q, p) pairs are strictly increasing.  At the top each sum resolves
-to sum(V(q) * V(p) * w) and the standard reduction finishes.  Weights are
-arbitrary-precision: inner dimensions reach 2**n.
+when its (q, p) pairs are strictly increasing.  Above level 1, the cell for
+a (left, right) pair of child sums merges (ta[qa][qb], tb[pa][pb], wa * wb)
+over their triples.  The kernel builds it in two steps.  First, for each
+left sum and each (qb, pb) pair that occurs in any child sum, it merges one
+partial sum (ta[qa][qb], tb[pa][pb], wa) over the left triples.  Then each
+cell is the merge of wb times the partial for (qb, pb), over the right
+triples.  Left sums with equal partials get equal rows, so such a row is
+built once.  At the top each sum resolves to sum(V(q) * V(p) * w) and the
+standard reduction finishes.  Weights are arbitrary-precision: inner
+dimensions reach 2**n.
 """
 
 from __future__ import annotations
@@ -151,28 +158,6 @@ def _intern_sum(mgr: Manager, s: TripleSum) -> TripleSum:
     return mgr.triple_sums.setdefault(s, s)
 
 
-def _combine_sums(
-    mgr: Manager, left_rows, right: TripleSum, shift: int
-) -> TripleSum:
-    """Distribute two formal sums through the operand transition tables.
-
-    ``left_rows`` holds the left sum as (ta[qa] shifted, tb[pa], wa) triples,
-    each entry of ta[qa] shifted left by ``shift``.  Pairs accumulate under
-    the packed key (q << shift) | p, whose integer order is the (q, p) order
-    because every p is below 2**shift.
-    """
-    out: dict[int, int] = {}
-    get = out.get
-    for row_a, row_b, wa in left_rows:
-        for qb, pb, wb in right:
-            packed = row_a[qb] | row_b[pb]
-            out[packed] = get(packed, 0) + wa * wb
-    mask = (1 << shift) - 1
-    return _intern_sum(
-        mgr, tuple((packed >> shift, packed & mask, out[packed]) for packed in sorted(out))
-    )
-
-
 def _matmul_stack(a: Layer, b: Layer, counter) -> tuple[Layer, tuple[TripleSum, ...]]:
     """Product stack for two operand stacks; memoized on the handle pair.
 
@@ -204,16 +189,43 @@ def _product_stack(a: Layer, b: Layer) -> tuple[Layer, tuple[TripleSum, ...]]:
         child = mgr.fork()
     else:
         child, child_sums = _matmul_stack(a.child, b.child, MATMUL_STACK)
+        # One partial per left sum and right pair, then each cell from the
+        # partials its right sum names (see the module docstring); equal
+        # partials give equal rows.  Pairs accumulate under the packed key
+        # (q << shift) | p, whose integer order is the (q, p) order because
+        # every p is below 2**shift.
         shift = b.num_states.bit_length()
+        mask = (1 << shift) - 1
         shifted_a = [tuple(q << shift for q in row) for row in a.table]
         tb = b.table
+        slots: dict[tuple[int, int], int] = {}  # right pair -> its partial's slot
+        rights = [
+            tuple((slots.setdefault((q, p), len(slots)), w) for q, p, w in s)
+            for s in child_sums
+        ]
+        rows_by_partials: dict[tuple, tuple[int, ...]] = {}
         for left in child_sums:
-            left_rows = tuple((shifted_a[q], tb[p], w) for q, p, w in left)
-            row = []
-            for right in child_sums:
-                s = _combine_sums(mgr, left_rows, right, shift)
-                row.append(index.setdefault(s, len(index)))
-            rows.append(tuple(row))
+            left_rows = [(shifted_a[q], tb[p], w) for q, p, w in left]
+            partials = []
+            for qb, pb in slots:
+                acc: dict[int, int] = {}
+                for row_a, row_b, wa in left_rows:
+                    packed = row_a[qb] | row_b[pb]
+                    acc[packed] = acc.get(packed, 0) + wa
+                partials.append(tuple(sorted(acc.items())))
+            partials = tuple(partials)
+            row = rows_by_partials.get(partials)
+            if row is None:
+                cells = []
+                for right in rights:
+                    out: dict[int, int] = {}
+                    for slot, wb in right:
+                        for packed, w in partials[slot]:
+                            out[packed] = out.get(packed, 0) + w * wb
+                    cell = tuple((k >> shift, k & mask, out[k]) for k in sorted(out))
+                    cells.append(index.setdefault(_intern_sum(mgr, cell), len(index)))
+                row = rows_by_partials[partials] = tuple(cells)
+            rows.append(row)
     return mgr.intern_layer(child, tuple(rows)), tuple(index)
 
 

@@ -152,3 +152,51 @@ def tv_distance(histogram, exact_probs, shots):
     return 0.5 * sum(
         abs(histogram.get(k, 0) / shots - exact_probs.get(k, 0.0)) for k in keys
     )
+
+
+def _merged_sum(triples):
+    """A formal sum in canonical form: equal (q, p) pairs add, pairs ascend."""
+    acc = {}
+    for q, p, w in triples:
+        acc[q, p] = acc.get((q, p), 0) + w
+    return tuple((q, p, w) for (q, p), w in sorted(acc.items()))
+
+
+def reference_product_stack(a, b):
+    """Brute-force product stack of two same-level operand layers.
+
+    Returns one (table, formal sums) pair per level from 1 up.  At level 1,
+    cell (i, j) merges (a-state of (i, k), b-state of (k, j), 1) over the
+    inner bit k.  Above, cell (left, right) merges every
+    (ta[qa][qb], tb[pa][pb], wa * wb) over the triples of the left and right
+    child sums.  States are numbered in row-major first occurrence.
+    """
+    if a.level == 1:
+        sa = (0, a.child.num_states - 1)
+        sb = (0, b.child.num_states - 1)
+        cells = [
+            [[(a.table[sa[i]][sa[k]], b.table[sb[k]][sb[j]], 1) for k in (0, 1)]
+             for j in (0, 1)]
+            for i in (0, 1)
+        ]
+        levels = []
+    else:
+        levels = reference_product_stack(a.child, b.child)
+        child_sums = levels[-1][1]
+        cells = [
+            [
+                [
+                    (a.table[qa][qb], b.table[pa][pb], wa * wb)
+                    for qa, pa, wa in left
+                    for qb, pb, wb in right
+                ]
+                for right in child_sums
+            ]
+            for left in child_sums
+        ]
+    index = {}
+    table = tuple(
+        tuple(index.setdefault(_merged_sum(cell), len(index)) for cell in row)
+        for row in cells
+    )
+    return levels + [(table, tuple(index))]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tidd.cli import main
 
 
@@ -152,3 +154,19 @@ def test_bench_bv_and_dj(capsys):
         fields = dict(zip(header.split(","), row.split(",")))
         assert fields["algo"] == algo
         assert int(fields["final_total"]) > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--kind", "eq", "--n", "2", "--shots", "0"],
+        ["sample", "--kind", "eq", "--n", "2", "--shots", "-3"],
+        ["verify", "--vars", "4", "--cases", "0"],
+        ["verify", "--vars", "4", "--cases", "-1"],
+    ],
+)
+def test_count_below_one_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "at least 1" in err

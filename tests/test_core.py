@@ -229,3 +229,40 @@ def test_every_counter_matches_its_calls(mgr, monkeypatch):
     for name in names:
         assert mgr.stats[f"{name}_hits"] + mgr.stats[f"{name}_misses"] == calls[name]
         assert mgr.stats[f"{name}_hits"] > 0, name
+
+
+def test_snapshot_reports_every_table_with_its_counters(mgr):
+    state = linalg.vector_from_basis_state(mgr, 4, (1, 0, 1, 1))
+    h = linalg.MatrixTidd(hadamard_family(mgr, 3), 4)
+    for _ in range(2):
+        state = linalg.matvec(h, state)
+    analysis.sample(state.t.t, Random(5))
+
+    snap = mgr.snapshot()
+    names = (
+        "_layers", "pair_cache", "apply_cache", "kron_cache", "matmul_cache",
+        "triple_sums", "path_count_cache", "sample_index_cache",
+    )
+    tables = {name: getattr(mgr, name) for name in names}
+    assert set(snap) == set(tables)
+    assert {name: entry["size"] for name, entry in snap.items()} == {
+        name: len(table) for name, table in tables.items()
+    }
+    assert snap["_layers"] == {"size": len(mgr._layers)}
+    assert snap["triple_sums"] == {"size": len(mgr.triple_sums)}
+    assert set(snap["matmul_cache"]) == {
+        "size", "matmul_hits", "matmul_misses", "matmul_stack_hits", "matmul_stack_misses",
+    }
+    counted = {
+        key: value
+        for entry in snap.values()
+        for key, value in entry.items()
+        if key != "size"
+    }
+    assert counted == mgr.stats
+    # memo stores one entry per miss, so a cache's size is its counters' misses
+    for name, entry in snap.items():
+        misses = [value for key, value in entry.items() if key.endswith("_misses")]
+        if misses:
+            assert entry["size"] == sum(misses), name
+    assert snap["matmul_cache"]["matmul_stack_hits"] > 0

@@ -34,6 +34,8 @@ GOLDEN = {
     "bv-16-2": "47dfa14d85641a4bab837cd251779a56a9bbbcec3ecf21c30429ac59933f940a",
     "bv-16-3": "e426374e11cea481641ba9de47e71a432ee9299b8bc389deba6b37eccbf9cdce",
     "bv-32-0": "a20268fe0145a483232783ae9dbad1db7aa8cb83e5ebae45b9811a34255c17ab",
+    "bv-32-1": "3a06bf33c861b7f0bef63274e8f66b3594c279573143513756d944b098d4c572",
+    "bv-32-2": "eb97f2fab5151c1ee218df066e8c253b3b7385d2f1c54464292bb7240174f519",
     "dj-8-0": "3d2f9cef3f07ff35df25363fb075e334f36ee02c9f58e11bc7596c28f4a503e7",
     "dj-8-1": "fc93e5680e8532ae70107f258197bdb18756e5464ae3a3b8663fc678e3b23ede",
     "dj-8-2": "4fde9e1ecf42f2917d048f55023b47c57257cb8f8f6d0857b6ccaa6189d0d3d2",
@@ -42,6 +44,7 @@ GOLDEN = {
     "dj-16-1": "b088454dbc539769ef1282c41ba104a2081fefe620cdffeaa5aa6b8be2ec0ee4",
     "dj-16-2": "32be0b0aaecbebeb14527bf48e910de582bf125910de80bf80f08c7832586fb6",
     "dj-16-3": "7329a7c92742e1bd9341fa6e02dc18cbc865e93ac9d8fc02441a04db2b4d2b93",
+    "dj-32-0": "ab60c31b5b96c97cc8d063f29ba4a56ecf186aa9de34ac4d7c0788cc38a1dc94",
     "sample-eq-1": "f4cdb8ab95c02ebfcd45b2329a950433e5972688b8ed5a8d07b2be3897e3c443",
     "sample-eq-2": "57def2bb48c201ddb98ea5fba4e9f5f12213f692d3555cafdc2958b1c2113deb",
     "sample-eq-3": "237df7904a8d48a14f67e323502a4f766aee281cafc7954eda6dfa84aff35112",

@@ -13,6 +13,7 @@ from tidd import (
     equality_relation,
     hadamard_family,
     identity_matrix,
+    kronecker,
     matmul,
     matvec,
     negation,
@@ -20,6 +21,8 @@ from tidd import (
     scalar_multiply,
     vector_from_basis_state,
 )
+from tidd import linalg
+from tidd.bench import bv_circuit, bv_secret, gate_matrix, ghz_circuit
 from tidd.builders import constant, from_truth_table
 from tidd.core import MATMUL_STACK
 from tidd.errors import ShapeMismatch
@@ -29,13 +32,15 @@ from tidd.linalg import (
     _matmul_stack,
     is_column_replicated,
     merge_triples,
+    tensor_fold,
+    tensor_powers,
     vector_amplitudes,
     vector_norm_squared,
 )
 from tidd.oracle import dense_from_tidd, dense_matmul, dense_to_matrix
 from tidd.values import SQRT2_HALF
 
-from helpers import bits_of, random_truth_table
+from helpers import bits_of, random_truth_table, reference_product_stack
 
 
 def random_matrix(mgr, rng, qubits):
@@ -135,6 +140,90 @@ def test_matmul_shape_mismatch(mgr):
     b = identity_matrix(mgr, 2)
     with pytest.raises(ShapeMismatch):
         matmul(a, b)
+
+
+def assert_stack_matches_reference(a, b):
+    """Each level of the product stack of layers a, b equals the brute-force one."""
+    expected = reference_product_stack(a, b)
+    for la, lb, (table, sums) in zip(a.stack()[1:], b.stack()[1:], expected, strict=True):
+        layer, got = _matmul_stack(la, lb, MATMUL_STACK)
+        assert layer.table == table
+        assert got == sums
+
+
+def random_local_sum(mgr, rng, qubits):
+    """A sum of two random one-qubit operators, each on a random qubit.
+
+    At 8 qubits a full random table has 65,536 product states at the top,
+    too many for the brute-force reference; these have at most a few dozen.
+    """
+    blank = tensor_powers(identity_matrix(mgr, 1).t, qubits)
+    terms = [
+        tensor_fold({rng.randrange(qubits): random_matrix(mgr, rng, 1).t}, 0, qubits, blank)
+        for _ in range(2)
+    ]
+    return MatrixTidd(apply(PLUS, *terms), qubits)
+
+
+def test_product_stack_matches_reference_on_random_matrices(mgr):
+    rng = Random(43)
+    for qubits in (1, 2, 4, 8):
+        for _ in range(6):
+            make = random_local_sum if qubits == 8 else random_matrix
+            a = make(mgr, rng, qubits)
+            b = make(mgr, rng, qubits)
+            assert_stack_matches_reference(a.t.top, b.t.top)
+            assert_stack_matches_reference(b.t.top, a.t.top)
+
+
+def test_product_stack_matches_reference_on_sums_with_equal_pairs(mgr):
+    # A 0/1 matrix times all-ones: child sums at level 3 share their (q, p)
+    # pairs and differ only in weights, so a row may not be reused on pairs alone
+    rng = Random(44)
+    ones = constant(mgr, 4, 1).top
+    for _ in range(4):
+        blocks = [from_truth_table(mgr, 3, random_truth_table(rng, 3, (0, 1))) for _ in range(2)]
+        a = kronecker(*blocks).top
+        assert_stack_matches_reference(a, ones)
+        assert_stack_matches_reference(ones, a)
+
+
+def circuit_operand_pairs(mgr, algo):
+    """The (gate matrix, state) operand pairs of an 8-qubit circuit, in order."""
+    gates = bv_circuit(8, bv_secret(8, 0)) if algo == "bv" else ghz_circuit(8)
+    state = vector_from_basis_state(mgr, 8, (0,) * 8)
+    for g in gates:
+        matrix = gate_matrix(mgr, g)
+        yield matrix.t.top, state.t.t.top
+        state = matvec(matrix, state)
+
+
+@pytest.mark.parametrize("algo", ["bv", "ghz"])
+def test_product_stack_matches_reference_on_circuit_operands(mgr, algo):
+    for a, b in circuit_operand_pairs(mgr, algo):
+        assert_stack_matches_reference(a, b)
+
+
+def test_product_stack_reuses_the_row_of_equal_partials(mgr, monkeypatch):
+    interned = []
+    intern_sum = linalg._intern_sum
+
+    def counting(m, s):
+        interned.append(s)
+        return intern_sum(m, s)
+
+    monkeypatch.setattr(linalg, "_intern_sum", counting)
+    reused = 0
+    for a, b in circuit_operand_pairs(mgr, "bv"):
+        _matmul_stack(a.child, b.child, MATMUL_STACK)
+        interned.clear()
+        # the top level alone: its child pair is cached, so no other level runs
+        layer, sums = linalg._product_stack(a, b)
+        assert reference_product_stack(a, b)[-1] == (layer.table, sums)
+        # one interned sum per cell of each row built; a reused row interns none
+        assert len(interned) % len(layer.table) == 0
+        reused += len(layer.table) - len(interned) // len(layer.table)
+    assert reused > 0
 
 
 def test_merge_triples_canonical():
