@@ -1,11 +1,9 @@
 """Path counting and weighted sampling.
 
 The path count of a state q is the number of fixed-length bit strings whose
-assignment trees drive the automaton to q.  Counts are computed bottom-up
-(level-0 Fork states count 1 each, a DontCare counts 2; above, each state
-sums the products of child counts over its incoming transitions) and cached
-per layer handle.  Counts are arbitrary-precision: at level l the top counts
-partition 2**(2**l), which exceeds machine words at l >= 6.
+assignment trees drive the automaton to q.  Counts are arbitrary-precision:
+at level l the top counts partition 2**(2**l), which exceeds machine words
+at l >= 6.
 
 Sampling draws an assignment with probability proportional to its value: a
 top state is drawn by weight W(q) = V(q) * pathcount(q), then one incoming
@@ -13,8 +11,13 @@ transition per level, then uniform bits at DontCare leaves.  Draws against
 irrational exact weights use fixed-point approximations of the cumulative
 weights, with ``values.FIXED_POINT_BITS`` (128) mantissa bits over one common
 denominator; sign checks stay exact.
-The incoming transitions of every state, with their cumulative weights, are
-indexed once per top layer and cached on the manager.
+
+Both rest on one index per top layer, built bottom-up in one pass per level
+and cached on the manager: every state's incoming (a, b) transitions with
+their cumulative weights pathcount(a) * pathcount(b).  A state's path count
+is its last cumulative weight (canonical tables have no gaps, so every state
+has an incoming transition); level-0 Fork states count 1 each, a DontCare
+counts 2.
 """
 
 from __future__ import annotations
@@ -23,32 +26,44 @@ from bisect import bisect_right
 from itertools import accumulate
 from random import Random
 
-from .core import PATH_COUNTS, SAMPLE_INDEX, Layer, Tidd
+from .core import PATH_COUNTS, Layer, Tidd
 from .errors import NegativeWeight, ZeroDistribution
 
 PathCountAnnotation = tuple[tuple[int, ...], ...]
 # Per state of one layer: its incoming (a, b) pairs in row-major order and
 # their cumulative weights pathcount(a) * pathcount(b).
 Incoming = tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], ...]
+LayerIndex = tuple[PathCountAnnotation, tuple[Incoming, ...]]
+
+
+def layer_index(top: Layer) -> LayerIndex:
+    """Path counts per level and the incoming index of every level (level 0
+    first, holding no transitions), cached on the manager."""
+    mgr = top.manager
+    return mgr.memo(mgr.path_count_cache, top, PATH_COUNTS, _index, top)
+
+
+def _index(top: Layer) -> LayerIndex:
+    layers = top.stack()
+    per_level: list[tuple[int, ...]] = [(1, 1) if layers[0].num_states == 2 else (2,)]
+    levels: list[Incoming] = [()]
+    for layer in layers[1:]:
+        below = per_level[-1]
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(layer.num_states)]
+        cums: list[list[int]] = [[] for _ in range(layer.num_states)]
+        for a, row in enumerate(layer.table):
+            for b, q in enumerate(row):
+                cum = cums[q]
+                cum.append((cum[-1] if cum else 0) + below[a] * below[b])
+                pairs[q].append((a, b))
+        per_level.append(tuple(cum[-1] for cum in cums))
+        levels.append(tuple(zip(map(tuple, pairs), map(tuple, cums))))
+    return tuple(per_level), tuple(levels)
 
 
 def layer_path_counts(top: Layer) -> PathCountAnnotation:
     """Counts per level (level 0 first), cached on the manager."""
-    mgr = top.manager
-    return mgr.memo(mgr.path_count_cache, top, PATH_COUNTS, _count_paths, top)
-
-
-def _count_paths(top: Layer) -> PathCountAnnotation:
-    layers = top.stack()
-    per_level: list[tuple[int, ...]] = [(1, 1) if layers[0].num_states == 2 else (2,)]
-    for layer in layers[1:]:
-        below = per_level[-1]
-        counts = [0] * layer.num_states
-        for a, row in enumerate(layer.table):
-            for b, q in enumerate(row):
-                counts[q] += below[a] * below[b]
-        per_level.append(tuple(counts))
-    return tuple(per_level)
+    return layer_index(top)[0]
 
 
 def path_counts(f: Tidd) -> PathCountAnnotation:
@@ -82,28 +97,6 @@ def _draw(rng: Random, weights: list[int]) -> int:
     return bisect_right(cum, rng.randrange(cum[-1]))
 
 
-def _layer_incoming(layer: Layer, below: tuple[int, ...]) -> Incoming:
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(layer.num_states)]
-    cums: list[list[int]] = [[] for _ in range(layer.num_states)]
-    for a, row in enumerate(layer.table):
-        for b, q in enumerate(row):
-            cum = cums[q]
-            cum.append((cum[-1] if cum else 0) + below[a] * below[b])
-            pairs[q].append((a, b))
-    return tuple(zip(map(tuple, pairs), map(tuple, cums)))
-
-
-def _sample_index(top: Layer) -> tuple[bool, tuple[Incoming, ...]]:
-    """Whether the leaf is a Fork, and the incoming index of every level
-    (level 0 holds an empty entry)."""
-    layers = top.stack()
-    per_level = layer_path_counts(top)
-    levels = ((),) + tuple(
-        _layer_incoming(layer, below) for layer, below in zip(layers[1:], per_level)
-    )
-    return layers[0].num_states == 2, levels
-
-
 def sample(f: Tidd, rng: Random) -> tuple[int, ...]:
     """Draw one assignment with probability proportional to its value.
 
@@ -113,10 +106,8 @@ def sample(f: Tidd, rng: Random) -> tuple[int, ...]:
     weights = sample_weights(f)
     if not any(weights):
         raise ZeroDistribution("all top-state weights are zero")
-    mgr = f.manager
-    fork, levels = mgr.memo(
-        mgr.sample_index_cache, f.top, SAMPLE_INDEX, _sample_index, f.top
-    )
+    counts, levels = layer_index(f.top)
+    fork = len(counts[0]) == 2
     out: list[int] = []
     pending = [(f.level, _draw(rng, weights))]
     while pending:

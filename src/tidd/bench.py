@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .core import Manager, SizeReport, Tidd, size_metrics
-from .errors import GateSpecError, NotPowerOfTwo, ZeroDistribution
+from .errors import GateSpecError, NotPowerOfTwo
 from .linalg import MatrixTidd, VectorTidd, matvec, tensor_fold, tensor_powers
 from .linalg import vector_from_basis_state
 from .analysis import sample
@@ -195,13 +195,12 @@ def measure_distribution(
 
     The state is squared pointwise (real amplitudes, so no conjugation),
     assignments are sampled from the induced distribution, and the don't-care
-    column bits are drawn and discarded.
+    column bits are drawn and discarded.  A state with no nonzero amplitude
+    raises ZeroDistribution (from ``sample``).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     squared = apply(TIMES, state.t.t, state.t.t)
-    if all(v.is_zero() for v in squared.values):
-        raise ZeroDistribution("state has no nonzero amplitude")
     histogram: dict[str, int] = {}
     for _ in range(shots):
         assignment = sample(squared, rng)
@@ -226,9 +225,3 @@ def metrics_fields(algo: str, qubits: int, seed: int, metrics: RunMetrics) -> li
 def csv_line(fields) -> str:
     """Comma-joined fields; floats (timings) print with six decimals."""
     return ",".join(f"{x:.6f}" if isinstance(x, float) else str(x) for x in fields)
-
-
-def metrics_csv_row(
-    algo: str, qubits: int, seed: int, metrics: RunMetrics
-) -> str:
-    return csv_line(metrics_fields(algo, qubits, seed, metrics))

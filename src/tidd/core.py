@@ -99,10 +99,9 @@ COUNTERS = tuple(
     (f"{name}_hits", f"{name}_misses")
     for name in (
         "pair_product", "apply", "kronecker", "matmul", "matmul_stack", "path_counts",
-        "sample_index",
     )
 )
-PAIR_PRODUCT, APPLY, KRONECKER, MATMUL, MATMUL_STACK, PATH_COUNTS, SAMPLE_INDEX = COUNTERS
+PAIR_PRODUCT, APPLY, KRONECKER, MATMUL, MATMUL_STACK, PATH_COUNTS = COUNTERS
 
 # The Manager operation cache that each counter's reads go to.
 CACHE_OF = {
@@ -112,7 +111,6 @@ CACHE_OF = {
     MATMUL: "matmul_cache",
     MATMUL_STACK: "matmul_cache",
     PATH_COUNTS: "path_count_cache",
-    SAMPLE_INDEX: "sample_index_cache",
 }
 
 
@@ -132,7 +130,6 @@ class Manager:
         self.matmul_cache: dict = {}
         self.triple_sums: dict = {}
         self.path_count_cache: dict = {}
-        self.sample_index_cache: dict = {}
         self.stats = {key: 0 for counter in COUNTERS for key in counter}
 
     def memo(self, cache: dict, key, counter: tuple[str, str], compute, *args):
@@ -195,9 +192,13 @@ class Manager:
         return layer
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Tidd:
-    """A complete diagram: top layer plus a duplicate-free value tuple."""
+    """A complete diagram: top layer plus a duplicate-free value tuple.
+
+    Equality compares the top layer by identity (``Layer`` has no ``__eq__``)
+    and the values, which is semantic equality for canonical diagrams.
+    """
 
     top: Layer
     values: tuple[Value, ...]
@@ -213,14 +214,6 @@ class Tidd:
     @property
     def manager(self) -> Manager:
         return self.top.manager
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tidd):
-            return NotImplemented
-        return self.top is other.top and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash((id(self.top), self.values))
 
     def __repr__(self) -> str:
         return f"<Tidd level={self.level} states={self.top.num_states}>"

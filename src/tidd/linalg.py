@@ -31,14 +31,14 @@ from dataclasses import dataclass
 from .analysis import top_path_counts
 from .builders import MAX_DENSE_VARS, equality_relation, from_truth_table
 from .core import MATMUL, MATMUL_STACK, Layer, Manager, Tidd, evaluate
-from .errors import ShapeMismatch
+from .errors import OracleScaleLimit, ShapeMismatch
 from .ops import apply, canonical_tidd, kronecker
 from .values import TIMES, Value, ZERO
 
 TripleSum = tuple[tuple[int, int, int], ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MatrixTidd:
     """A 2**n x 2**n matrix as a diagram over 2n interleaved variables."""
 
@@ -58,16 +58,8 @@ class MatrixTidd:
     def level(self) -> int:
         return self.t.level
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatrixTidd):
-            return NotImplemented
-        return self.qubits == other.qubits and self.t == other.t
 
-    def __hash__(self) -> int:
-        return hash((self.qubits, self.t))
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class VectorTidd:
     """A length-2**n vector stored column-replicated (all columns equal)."""
 
@@ -76,14 +68,6 @@ class VectorTidd:
     @property
     def qubits(self) -> int:
         return self.t.qubits
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorTidd):
-            return NotImplemented
-        return self.t == other.t
-
-    def __hash__(self) -> int:
-        return hash(self.t)
 
 
 def matrix_level(qubits: int) -> int:
@@ -262,6 +246,8 @@ def vector_norm_squared(v: VectorTidd) -> Value:
 def vector_amplitudes(v: VectorTidd) -> list[Value]:
     """Dense amplitude list (row r = column-0 entry), for small instances."""
     n = v.qubits
+    if n > MAX_DENSE_VARS:
+        raise OracleScaleLimit(f"amplitude list limited to {MAX_DENSE_VARS} qubits")
     amps = []
     for r in range(1 << n):
         bits = []
@@ -276,7 +262,7 @@ def is_column_replicated(m: MatrixTidd) -> bool:
     """Exhaustively check the vector invariant entry(r, c) == entry(r, c')."""
     n = m.qubits
     if 2 * n > MAX_DENSE_VARS:
-        raise ShapeMismatch(f"replication check limited to {MAX_DENSE_VARS} variables")
+        raise OracleScaleLimit(f"replication check limited to {MAX_DENSE_VARS} variables")
     for r in range(1 << n):
         reference = None
         for c in range(1 << n):

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 from random import Random
 
@@ -18,10 +19,13 @@ from tidd import (
     sample,
     top_path_counts,
 )
-from tidd.analysis import sample_weights
+from tidd.analysis import layer_index, sample_weights
+from tidd.bench import run_benchmark
 from tidd.core import evaluate
 from tidd.errors import NegativeWeight, ZeroDistribution
 from tidd.builders import from_truth_table
+from tidd.ops import apply
+from tidd.values import TIMES
 
 from helpers import bits_of, random_truth_table, tv_distance
 
@@ -81,6 +85,37 @@ def test_counts_match_brute_force(mgr):
     ]
     for f in subjects:
         assert path_counts(f) == brute_force_counts(f)
+
+
+def test_index_lists_every_incoming_pair_with_brute_force_weights(mgr):
+    rng = Random(23)
+    subjects = [hadamard_family(mgr, level) for level in (1, 2, 3)]
+    subjects += [equality_relation(mgr, level) for level in (1, 2, 3)]
+    subjects += [
+        from_truth_table(mgr, level, random_truth_table(rng, level))
+        for level in (1, 2, 3)
+        for _ in range(3)
+    ]
+    state, _ = run_benchmark(mgr, "bv", 8, seed=0)
+    subjects.append(apply(TIMES, state.t.t, state.t.t))
+    for f in subjects:
+        counts, levels = layer_index(f.top)
+        expected = brute_force_counts(f)
+        assert counts == expected
+        assert levels[0] == ()
+        for layer in f.top.stack()[1:]:
+            below = expected[layer.level - 1]
+            index = levels[layer.level]
+            assert len(index) == layer.num_states
+            for q, (pairs, cums) in enumerate(index):
+                assert pairs == tuple(
+                    (a, b)
+                    for a, row in enumerate(layer.table)
+                    for b, entry in enumerate(row)
+                    if entry == q
+                )
+                assert cums == tuple(accumulate(below[a] * below[b] for a, b in pairs))
+                assert cums[-1] == expected[layer.level][q]
 
 
 def test_sample_eq_always_satisfying(mgr):

@@ -8,6 +8,7 @@ from tidd.bench import (
     GateSpec,
     bv_circuit,
     bv_secret,
+    csv_line,
     dj_circuit,
     dj_parity_pattern,
     gate,
@@ -15,11 +16,11 @@ from tidd.bench import (
     ghz_circuit,
     measure_distribution,
     metrics_csv_header,
-    metrics_csv_row,
+    metrics_fields,
     run_benchmark,
     run_circuit,
 )
-from tidd.errors import GateSpecError, NotPowerOfTwo
+from tidd.errors import GateSpecError, NotPowerOfTwo, ZeroDistribution
 from tidd.linalg import (
     MatrixTidd,
     matmul,
@@ -258,6 +259,12 @@ def test_measure_bv_returns_secret(mgr):
     assert hist == {"".join(map(str, s)): 100}
 
 
+def test_measure_all_zero_state_raises(mgr):
+    zero = linalg.VectorTidd(MatrixTidd(builders.constant(mgr, 2, 0), 2))
+    with pytest.raises(ZeroDistribution):
+        measure_distribution(zero, 10, Random(39))
+
+
 def test_second_measure_batch_reuses_the_squared_state(mgr):
     state, _ = run_benchmark(mgr, "bv", 8, seed=0)
     measure_distribution(state, 10, Random(37))
@@ -265,8 +272,9 @@ def test_second_measure_batch_reuses_the_squared_state(mgr):
     measure_distribution(state, 10, Random(38))
     assert mgr.stats["apply_hits"] == before["apply_hits"] + 1
     assert mgr.stats["apply_misses"] == before["apply_misses"]
-    assert mgr.stats["sample_index_hits"] == before["sample_index_hits"] + 10
-    assert mgr.stats["sample_index_misses"] == before["sample_index_misses"]
+    # two path_counts reads per sample call: its weights, then its index
+    assert mgr.stats["path_counts_hits"] == before["path_counts_hits"] + 20
+    assert mgr.stats["path_counts_misses"] == before["path_counts_misses"]
 
 
 def test_random_circuits_match_dense(mgr):
@@ -292,6 +300,6 @@ def test_random_circuits_match_dense(mgr):
 def test_metrics_csv_row_format(mgr):
     _, metrics = run_benchmark(mgr, "ghz", 4, seed=0)
     header = metrics_csv_header().split(",")
-    row = metrics_csv_row("ghz", 4, 0, metrics).split(",")
+    row = csv_line(metrics_fields("ghz", 4, 0, metrics)).split(",")
     assert len(header) == len(row) == 9
     assert row[0] == "ghz" and row[1] == "4"

@@ -206,8 +206,7 @@ def test_every_counter_matches_its_calls(mgr, monkeypatch):
     count(ops, "kronecker", "kronecker")
     count(linalg, "matmul", "matmul")
     count(linalg, "_matmul_stack", "matmul_stack")
-    count(analysis, "layer_path_counts", "path_counts")
-    count(analysis, "sample", "sample_index")
+    count(analysis, "layer_index", "path_counts")
 
     rng = Random(41)
     for level in (1, 2, 3):
@@ -241,7 +240,7 @@ def test_snapshot_reports_every_table_with_its_counters(mgr):
     snap = mgr.snapshot()
     names = (
         "_layers", "pair_cache", "apply_cache", "kron_cache", "matmul_cache",
-        "triple_sums", "path_count_cache", "sample_index_cache",
+        "triple_sums", "path_count_cache",
     )
     tables = {name: getattr(mgr, name) for name in names}
     assert set(snap) == set(tables)

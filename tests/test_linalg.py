@@ -25,7 +25,7 @@ from tidd import linalg
 from tidd.bench import bv_circuit, bv_secret, gate_matrix, ghz_circuit
 from tidd.builders import constant, from_truth_table
 from tidd.core import MATMUL_STACK
-from tidd.errors import ShapeMismatch
+from tidd.errors import OracleScaleLimit, ShapeMismatch
 from tidd.linalg import (
     MatrixTidd,
     VectorTidd,
@@ -269,8 +269,15 @@ def test_vector_from_basis_state(mgr):
 def test_replication_check_refuses_sixteen_qubits(mgr):
     # 2n = 32 variables, beyond the shared dense-enumeration cap
     v = vector_from_basis_state(mgr, 16, (0,) * 16)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(OracleScaleLimit):
         is_column_replicated(v.t)
+
+
+def test_amplitude_list_refuses_thirty_two_qubits(mgr):
+    # 2**32 rows, beyond the shared dense-enumeration cap
+    v = vector_from_basis_state(mgr, 32, (0,) * 32)
+    with pytest.raises(OracleScaleLimit):
+        vector_amplitudes(v)
 
 
 def test_vector_wrong_length(mgr):
