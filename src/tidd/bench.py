@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .core import Manager, SizeReport, Tidd, size_metrics
-from .errors import GateSpecError, NotPowerOfTwo
+from .errors import GateSpecError, require_at_least, require_power_of_two
 from .linalg import MatrixTidd, VectorTidd, matvec, tensor_fold, tensor_powers
 from .linalg import vector_from_basis_state
 from .analysis import sample
@@ -53,15 +53,15 @@ class GateSpec:
         expected = 2 if self.kind in ("cnot", "cz") else 1
         if len(self.targets) != expected:
             raise GateSpecError(f"{self.kind} takes {expected} target(s)")
+        for t in self.targets:
+            if not isinstance(t, int) or not 0 <= t < self.qubits:
+                raise GateSpecError(f"target {t!r} is not in 0..{self.qubits - 1}")
         if len(set(self.targets)) != len(self.targets):
             raise GateSpecError("targets must be distinct")
-        for t in self.targets:
-            if not 0 <= t < self.qubits:
-                raise GateSpecError(f"target {t} outside 0..{self.qubits - 1}")
 
 
 def gate(kind: str, targets, qubits: int) -> GateSpec:
-    ts = (targets,) if isinstance(targets, int) else tuple(targets)
+    ts = tuple(targets) if isinstance(targets, (tuple, list)) else (targets,)
     return GateSpec(kind, ts, qubits)
 
 
@@ -72,8 +72,7 @@ def gate_matrix(mgr: Manager, g: GateSpec) -> MatrixTidd:
     the sum of the two controlled branches |0><0| (x) I + |1><1| (x) U.
     """
     n = g.qubits
-    if n < 1 or n & (n - 1):
-        raise NotPowerOfTwo(f"qubit count {n} is not a power of two")
+    require_power_of_two(n, 1, "qubit count")
     identities = tensor_powers(from_truth_table(mgr, 1, _I), n)
 
     def fold(entries: dict[int, tuple]) -> Tidd:  # qubit -> 2x2 entries, row-major
@@ -88,14 +87,9 @@ def gate_matrix(mgr: Manager, g: GateSpec) -> MatrixTidd:
     return MatrixTidd(apply(PLUS, branch0, fold({control: _P1, target: flip})), n)
 
 
-def _require_power_of_two(n: int) -> None:
-    if n < 2 or n & (n - 1):
-        raise NotPowerOfTwo(f"qubit count {n} must be a power of two >= 2")
-
-
 def ghz_circuit(n: int) -> list[GateSpec]:
     """H on qubit 0, then a CNOT chain fanning out from qubit 0."""
-    _require_power_of_two(n)
+    require_power_of_two(n, 2, "qubit count")
     return [gate("h", 0, n)] + [gate("cnot", (0, i), n) for i in range(1, n)]
 
 
@@ -106,7 +100,7 @@ def bv_secret(n: int, seed: int) -> tuple[int, ...]:
 
 def bv_circuit(n: int, s) -> list[GateSpec]:
     """Bernstein-Vazirani with a phase oracle: H layer, (-1)**(s.x), H layer."""
-    _require_power_of_two(n)
+    require_power_of_two(n, 2, "qubit count")
     s = tuple(s)
     if len(s) != n or any(b not in (0, 1) for b in s):
         raise GateSpecError(f"secret {s!r} is not {n} bits")
@@ -130,7 +124,7 @@ def dj_circuit(n: int, mode: str, seed: int = 0) -> list[GateSpec]:
     mode "balanced": the oracle is the diagonal (-1)**(b.x) for the seeded
     parity pattern b, which is balanced because b is nonzero.
     """
-    _require_power_of_two(n)
+    require_power_of_two(n, 2, "qubit count")
     layer = [gate("h", i, n) for i in range(n)]
     if mode == "constant":
         oracle: list[GateSpec] = []
@@ -198,8 +192,7 @@ def measure_distribution(
     column bits are drawn and discarded.  A state with no nonzero amplitude
     raises ZeroDistribution (from ``sample``).
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    require_at_least(shots, 1, "shots")
     squared = apply(TIMES, state.t.t, state.t.t)
     histogram: dict[str, int] = {}
     for _ in range(shots):

@@ -10,22 +10,16 @@ binary-operation machinery.
 from __future__ import annotations
 
 from .core import Layer, Manager, Tidd
-from .errors import (
-    IndexOutOfRange,
-    NotPowerOfTwo,
-    OracleScaleLimit,
-    TruthTableLengthMismatch,
-)
+# MAX_DENSE_VARS stays importable here, where the README documents it.
+from .errors import MAX_DENSE_VARS, IndexOutOfRange, TruthTableLengthMismatch
+from .errors import require_at_least, require_dense, require_power_of_two
 from .ops import apply, canonical_tidd
 from .values import AND, FALSE, ONE, TRUE, Value, XOR, ZERO, as_value
-
-# The one scale cap on dense enumeration: truth tables here, the widest
-# anti-diagonal table, and every table the brute-force oracle builds.
-MAX_DENSE_VARS = 16
 
 
 def no_distinction_proto(mgr: Manager, level: int) -> Layer:
     """Single-state proto stack: DontCare at level 0, 1x1 tables above."""
+    require_at_least(level, 0, "level")
     layer = mgr.dontcare()
     for _ in range(level):
         layer = mgr.intern_layer(layer, ((0,),))
@@ -45,7 +39,9 @@ def projection(mgr: Manager, level: int, index: int) -> Tidd:
     variable lies in the left half of the block (bit of the index decides),
     otherwise the right child's.  Values are [false, true].
     """
-    if not 0 <= index < (1 << level):
+    require_at_least(level, 0, "level")
+    require_at_least(index, 0, "projection index")
+    if index >= 1 << level:
         raise IndexOutOfRange(f"index {index} for {1 << level} variables")
     layer = mgr.fork()
     for j in range(1, level + 1):
@@ -69,6 +65,7 @@ def exact_string_proto(mgr: Manager, level: int) -> Layer:
     first-occurrence canonical.  Exponential by construction; feasible only
     within the truth-table scale guard.
     """
+    require_at_least(level, 0, "level")
     layer = mgr.fork()
     for j in range(1, level + 1):
         half = 1 << (j - 1)
@@ -87,8 +84,8 @@ def from_truth_table(mgr: Manager, level: int, outputs) -> Tidd:
     big-endian order.  Built by reducing the exact-string stack, which merges
     identical sub-tables bottom-up with canonical renumbering.
     """
-    if (1 << level) > MAX_DENSE_VARS:
-        raise OracleScaleLimit(f"truth tables limited to {MAX_DENSE_VARS} variables")
+    require_at_least(level, 0, "level")
+    require_dense(1 << level, "a truth table")
     values = [as_value(v) for v in outputs]
     if len(values) != 1 << (1 << level):
         raise TruthTableLengthMismatch(
@@ -103,8 +100,7 @@ def hadamard_family(mgr: Manager, i: int) -> Tidd:
     Two states per level: the level-1 table splits on "both bits are 1" and
     every higher level xors the child parities.  Values are [1, -1].
     """
-    if i < 1:
-        raise ValueError("hadamard_family needs i >= 1")
+    require_at_least(i, 1, "Hadamard level")
     layer = mgr.intern_layer(mgr.fork(), ((0, 0), (0, 1)))
     for _ in range(2, i + 1):
         layer = mgr.intern_layer(layer, ((0, 1), (1, 0)))
@@ -117,8 +113,7 @@ def equality_relation(mgr: Manager, l: int) -> Tidd:
     Two states per level: level 1 checks one bit pair for equality and every
     higher level ands the child verdicts (state 1 absorbs).  Values [1, 0].
     """
-    if l < 1:
-        raise ValueError("equality_relation needs l >= 1")
+    require_at_least(l, 1, "equality level")
     layer = mgr.intern_layer(mgr.fork(), ((0, 1), (1, 0)))
     for _ in range(2, l + 1):
         layer = mgr.intern_layer(layer, ((0, 1), (1, 1)))
@@ -132,13 +127,8 @@ def _anti_diagonal_prefixes(mgr: Manager, n: int) -> list[Tidd]:
     factor NOT x_{i*n + n-1-i}, and-ed onto the conjunction of rows 0..i-1.
     The widest table has 2**(2n) entries, so n is capped by MAX_DENSE_VARS.
     """
-    if n < 2 or n & (n - 1):
-        raise NotPowerOfTwo(f"matrix size {n} is not a power of two >= 2")
-    if 2 * n > MAX_DENSE_VARS:
-        raise OracleScaleLimit(
-            f"anti-diagonal family is desk-scale only (n <= {MAX_DENSE_VARS // 2})"
-        )
-    level = 2 * (n.bit_length() - 1)
+    level = 2 * require_power_of_two(n, 2, "matrix size")
+    require_dense(2 * n, "the desk-scale anti-diagonal family's widest table")
     prefixes: list[Tidd] = []
     for i in range(n):
         factor = negation(mgr, projection(mgr, level, i * n + n - 1 - i))

@@ -149,7 +149,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.fn(args)
-    except (TiddError, ValueError) as exc:
+    except TiddError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import top_path_counts
-from .builders import MAX_DENSE_VARS, equality_relation, from_truth_table
+from .builders import equality_relation, from_truth_table
 from .core import MATMUL, MATMUL_STACK, Layer, Manager, Tidd, evaluate
-from .errors import OracleScaleLimit, ShapeMismatch
+from .errors import ShapeMismatch, require_dense, require_power_of_two
 from .ops import apply, canonical_tidd, kronecker
 from .values import TIMES, Value, ZERO
 
@@ -47,8 +47,7 @@ class MatrixTidd:
 
     def __post_init__(self) -> None:
         n = self.qubits
-        if n < 1 or n & (n - 1):
-            raise ShapeMismatch(f"qubit count {n} is not a power of two")
+        require_power_of_two(n, 1, "qubit count")
         if (1 << self.t.level) != 2 * n:
             raise ShapeMismatch(
                 f"{n} qubits need {2 * n} variables, diagram has {1 << self.t.level}"
@@ -70,15 +69,10 @@ class VectorTidd:
         return self.t.qubits
 
 
-def matrix_level(qubits: int) -> int:
-    if qubits < 1 or qubits & (qubits - 1):
-        raise ShapeMismatch(f"qubit count {qubits} is not a power of two")
-    return qubits.bit_length()  # log2(2 * qubits)
-
-
 def identity_matrix(mgr: Manager, qubits: int) -> MatrixTidd:
     """The identity: the equality relation over interleaved variables."""
-    return MatrixTidd(equality_relation(mgr, matrix_level(qubits)), qubits)
+    level = require_power_of_two(qubits, 1, "qubit count") + 1  # log2(2 * qubits)
+    return MatrixTidd(equality_relation(mgr, level), qubits)
 
 
 def tensor_powers(base: Tidd, n: int) -> list[Tidd]:
@@ -119,7 +113,7 @@ def vector_from_basis_state(mgr: Manager, qubits: int, bits) -> VectorTidd:
     bits = tuple(bits)
     if len(bits) != qubits or any(b not in (0, 1) for b in bits):
         raise ShapeMismatch(f"{bits!r} is not {qubits} bits")
-    matrix_level(qubits)  # ShapeMismatch unless a power of two
+    require_power_of_two(qubits, 1, "qubit count")
     ket1 = from_truth_table(mgr, 1, (0, 0, 1, 1))  # |1><+|, row-major over (x, y)
     factors = {i: ket1 for i, b in enumerate(bits) if b}
     blank = tensor_powers(from_truth_table(mgr, 1, (1, 1, 0, 0)), qubits)  # |0><+|
@@ -246,8 +240,7 @@ def vector_norm_squared(v: VectorTidd) -> Value:
 def vector_amplitudes(v: VectorTidd) -> list[Value]:
     """Dense amplitude list (row r = column-0 entry), for small instances."""
     n = v.qubits
-    if n > MAX_DENSE_VARS:
-        raise OracleScaleLimit(f"amplitude list limited to {MAX_DENSE_VARS} qubits")
+    require_dense(n, "an amplitude list")  # 2**n rows
     amps = []
     for r in range(1 << n):
         bits = []
@@ -261,8 +254,7 @@ def vector_amplitudes(v: VectorTidd) -> list[Value]:
 def is_column_replicated(m: MatrixTidd) -> bool:
     """Exhaustively check the vector invariant entry(r, c) == entry(r, c')."""
     n = m.qubits
-    if 2 * n > MAX_DENSE_VARS:
-        raise OracleScaleLimit(f"replication check limited to {MAX_DENSE_VARS} variables")
+    require_dense(2 * n, "the replication check")
     for r in range(1 << n):
         reference = None
         for c in range(1 << n):

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .builders import MAX_DENSE_VARS, constant, projection
+from .builders import constant, projection
 from .core import Manager, Tidd
-from .errors import OracleScaleLimit, ShapeMismatch
+from .errors import OracleScaleLimit, ShapeMismatch, require_dense, require_power_of_two
 from .ops import apply
 from .values import (
     AND,
@@ -31,13 +31,6 @@ from .values import (
 )
 
 
-def _check_scale(num_vars: int) -> None:
-    if num_vars > MAX_DENSE_VARS:
-        raise OracleScaleLimit(
-            f"variable count {num_vars} exceeds the oracle cap {MAX_DENSE_VARS}"
-        )
-
-
 @dataclass(frozen=True)
 class DenseFunction:
     """Exhaustive tabulation: outputs[i] is the value at assignment bits(i)."""
@@ -46,7 +39,7 @@ class DenseFunction:
     outputs: tuple[Value, ...]
 
     def __post_init__(self) -> None:
-        _check_scale(1 << self.level)
+        require_dense(1 << self.level, "a dense table")
         expected = 1 << (1 << self.level)
         if len(self.outputs) != expected:
             raise ShapeMismatch(f"expected {expected} outputs, got {len(self.outputs)}")
@@ -74,7 +67,7 @@ def dense_projection(level: int, index: int) -> DenseFunction:
 
 def dense_from_tidd(f: Tidd) -> DenseFunction:
     """Tabulate a diagram by running the state map over all strings per level."""
-    _check_scale(f.num_vars)
+    require_dense(f.num_vars, "tabulating a diagram")
     layers = f.top.stack()
     states = [0, layers[0].num_states - 1]  # the states symbols 0 and 1 reach
     for layer in layers[1:]:
@@ -220,7 +213,7 @@ def anti_diagonal_row_classes(n: int) -> int:
     contributing only when the remaining slots can be satisfied
     simultaneously.  Enumerates all 2**n row strings.
     """
-    _check_scale(n)
+    require_dense(n, "the row-class count")
     tests = []
     for slot in range(n):
         position = n - 1 - slot  # bit tested when a row sits in this slot
@@ -283,10 +276,8 @@ def run_equivalence_suite(
     mgr: Manager, num_vars: int, cases: int, seed: int
 ) -> tuple[int, int]:
     """Run seeded random-expression equivalence checks; returns (passed, failed)."""
-    if num_vars < 1 or num_vars & (num_vars - 1):
-        raise OracleScaleLimit(f"variable count {num_vars} is not a power of two")
-    _check_scale(num_vars)
-    level = num_vars.bit_length() - 1
+    level = require_power_of_two(num_vars, 1, "variable count")
+    require_dense(num_vars, "the equivalence suite")
     rng = Random(seed)
     passed = failed = 0
     for _ in range(cases):

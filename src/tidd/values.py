@@ -155,7 +155,7 @@ def as_value(x: Value | bool | int) -> Value:
         return Value.from_bool(x)
     if isinstance(x, int):
         return Value.from_int(x)
-    raise TypeError(f"cannot interpret {x!r} as a ring value")
+    raise ValueDomainError(f"cannot interpret {x!r} as a ring value")
 
 
 def _require_bool(u: Value, v: Value) -> None:

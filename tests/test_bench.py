@@ -46,6 +46,25 @@ def test_gate_spec_validation():
         GateSpec("h", (0, 1), 2)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GateSpec("h", (1.5,), 4),
+        lambda: gate("h", 1.5, 4),
+        lambda: gate("cnot", (0, "1"), 4),
+        lambda: gate("z", None, 4),
+    ],
+)
+def test_gate_targets_must_be_integers(make):
+    with pytest.raises(GateSpecError):
+        make()
+
+
+def test_boolean_gate_targets_stay_accepted():
+    assert gate("h", True, 2) == gate("h", 1, 2)
+    assert gate("cnot", (False, True), 2).targets == (0, 1)
+
+
 def test_single_qubit_gate_dense(mgr):
     g = gate_matrix(mgr, gate("h", 0, 1))
     grid = dense_to_matrix(dense_from_tidd(g.t))

@@ -132,6 +132,22 @@ def test_bad_family_parameter(capsys):
     assert err.startswith("error:")
 
 
+def test_bad_equality_parameter(capsys):
+    code, _, err = run_cli(capsys, ["family", "--kind", "eq", "--n", "0"])
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    # only typed tidd errors are usage errors; any other exception is a bug
+    def broken(args):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr("tidd.cli._cmd_family", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["family", "--kind", "eq", "--n", "2"])
+
+
 def test_sample_hn(capsys):
     code, out, _ = run_cli(
         capsys, ["sample", "--kind", "hn", "--n", "2", "--shots", "20", "--seed", "3"]

@@ -1,0 +1,90 @@
+"""The argument checks: each bad size or count raises its typed error."""
+
+from random import Random
+
+import pytest
+
+from tidd import builders, errors
+from tidd.bench import measure_distribution
+from tidd.builders import (
+    constant,
+    equality_relation,
+    exact_string_proto,
+    from_truth_table,
+    hadamard_family,
+    projection,
+)
+from tidd.errors import (
+    IndexOutOfRange,
+    NotPowerOfTwo,
+    OracleScaleLimit,
+    ValueDomainError,
+    require_at_least,
+    require_dense,
+    require_power_of_two,
+)
+from tidd.linalg import vector_from_basis_state
+from tidd.oracle import run_equivalence_suite
+
+
+def _shots(mgr, shots):
+    state = vector_from_basis_state(mgr, 2, (0, 0))
+    return measure_distribution(state, shots, Random(0))
+
+
+BAD_ARGUMENTS = [
+    ("constant level -1", lambda m: constant(m, -1, 1), IndexOutOfRange),
+    ("exact strings level -1", lambda m: exact_string_proto(m, -1), IndexOutOfRange),
+    ("projection level -1", lambda m: projection(m, -1, 0), IndexOutOfRange),
+    ("projection index 1.5", lambda m: projection(m, 2, 1.5), IndexOutOfRange),
+    ("truth table level -1", lambda m: from_truth_table(m, -1, [1]), IndexOutOfRange),
+    ("hadamard level 0", lambda m: hadamard_family(m, 0), IndexOutOfRange),
+    ("equality level 0", lambda m: equality_relation(m, 0), IndexOutOfRange),
+    ("zero shots", lambda m: _shots(m, 0), IndexOutOfRange),
+    ("truth table of text", lambda m: from_truth_table(m, 1, "abcd"), ValueDomainError),
+    ("constant 1.5", lambda m: constant(m, 2, 1.5), ValueDomainError),
+    ("6-variable suite", lambda m: run_equivalence_suite(m, 6, 1, 0), NotPowerOfTwo),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [case[1:] for case in BAD_ARGUMENTS],
+    ids=[case[0] for case in BAD_ARGUMENTS],
+)
+def test_bad_argument_raises_its_typed_error(mgr, call, error):
+    with pytest.raises(error):
+        call(mgr)
+
+
+def test_each_minimum_is_accepted(mgr):
+    assert constant(mgr, 0, 1).level == 0
+    assert exact_string_proto(mgr, 0).num_states == 2
+    assert projection(mgr, 0, 0).level == 0
+    assert hadamard_family(mgr, 1).level == 1
+    assert equality_relation(mgr, 1).level == 1
+    assert sum(_shots(mgr, 1).values()) == 1
+    assert run_equivalence_suite(mgr, 1, 3, 0) == (3, 0)
+
+
+def test_power_of_two_returns_its_log():
+    assert [require_power_of_two(n, 1, "n") for n in (1, 2, 4, 1024)] == [0, 1, 2, 10]
+    assert require_power_of_two(2, 2, "n") == 1
+    for n, minimum in ((1, 2), (0, 1), (-4, 1), (6, 1), (4.0, 1), (None, 1)):
+        with pytest.raises(NotPowerOfTwo, match="power of two"):
+            require_power_of_two(n, minimum, "n")
+
+
+def test_at_least_accepts_integers_only():
+    require_at_least(0, 0, "level")
+    require_at_least(True, 1, "shots")  # booleans are integers, as for bits
+    for n in (-1, 0.0, "0", None):
+        with pytest.raises(IndexOutOfRange):
+            require_at_least(n, 0, "level")
+
+
+def test_dense_cap_is_shared():
+    require_dense(errors.MAX_DENSE_VARS, "table")
+    with pytest.raises(OracleScaleLimit, match="exceeds"):
+        require_dense(errors.MAX_DENSE_VARS + 1, "table")
+    assert builders.MAX_DENSE_VARS is errors.MAX_DENSE_VARS

@@ -17,7 +17,7 @@ from tidd import (
     state_counts,
 )
 from tidd.builders import from_truth_table
-from tidd.errors import OracleScaleLimit, ShapeMismatch, ValueDomainError
+from tidd.errors import NotPowerOfTwo, OracleScaleLimit, ShapeMismatch, ValueDomainError
 from tidd.oracle import (
     _BOOL_OPS,
     anti_diagonal_row_classes,
@@ -297,5 +297,5 @@ def test_run_equivalence_suite(mgr):
 
 
 def test_suite_rejects_non_power_vars(mgr):
-    with pytest.raises(OracleScaleLimit):
+    with pytest.raises(NotPowerOfTwo):
         run_equivalence_suite(mgr, 6, 5, seed=0)
