@@ -48,6 +48,7 @@ class GateSpec:
     qubits: int
 
     def __post_init__(self) -> None:
+        require_power_of_two(self.qubits, 1, "qubit count")
         if self.kind not in GATE_KINDS:
             raise GateSpecError(f"unknown gate kind {self.kind!r}")
         expected = 2 if self.kind in ("cnot", "cz") else 1
@@ -72,7 +73,6 @@ def gate_matrix(mgr: Manager, g: GateSpec) -> MatrixTidd:
     the sum of the two controlled branches |0><0| (x) I + |1><1| (x) U.
     """
     n = g.qubits
-    require_power_of_two(n, 1, "qubit count")
     identities = tensor_powers(from_truth_table(mgr, 1, _I), n)
 
     def fold(entries: dict[int, tuple]) -> Tidd:  # qubit -> 2x2 entries, row-major

@@ -14,14 +14,20 @@ with w counting the inner-index bit patterns that realize the pair.  Triples
 with equal state pairs merge by adding weights; a formal sum is canonical
 when its (q, p) pairs are strictly increasing.  Above level 1, the cell for
 a (left, right) pair of child sums merges (ta[qa][qb], tb[pa][pb], wa * wb)
-over their triples.  The kernel builds it in two steps.  First, for each
-left sum and each (qb, pb) pair that occurs in any child sum, it merges one
-partial sum (ta[qa][qb], tb[pa][pb], wa) over the left triples.  Then each
-cell is the merge of wb times the partial for (qb, pb), over the right
-triples.  Left sums with equal partials get equal rows, so such a row is
-built once.  At the top each sum resolves to sum(V(q) * V(p) * w) and the
-standard reduction finishes.  Weights are arbitrary-precision: inner
-dimensions reach 2**n.
+over every pair of their triples.
+
+An operand state is dead when every context of it reaches a top value of 0.
+Dead states are found top-down: a top state is dead when its value is 0, a
+state below when every entry of its table row and table column is dead.  A
+canonical diagram has at most one per level, since two would have equal
+rows and columns.  A triple naming a dead state of either operand adds 0 to
+every entry, so every level, level 1 included, leaves it out; an empty sum
+is a state of value 0.  This keeps the sums short: at most two triples on
+the BV and GHZ circuits.  The product stack is memoized on (a layer,
+b layer, dead a-states, dead b-states) at each level; the dead states below
+follow from these, so the key is complete.  At the top each sum resolves to
+sum(V(q) * V(p) * w) and the standard reduction finishes.  Weights are
+arbitrary-precision: inner dimensions reach 2**n.
 """
 
 from __future__ import annotations
@@ -132,86 +138,79 @@ def merge_triples(triples) -> TripleSum:
     return tuple((q, p, w) for (q, p), w in sorted(acc.items()))
 
 
-def _intern_sum(mgr: Manager, s: TripleSum) -> TripleSum:
-    return mgr.triple_sums.setdefault(s, s)
+def _dead_top(f: Tidd) -> tuple[int, ...]:
+    """The top states of ``f`` whose value is 0 (at most one: values are distinct)."""
+    return tuple(q for q, v in enumerate(f.values) if v.is_zero())
 
 
-def _matmul_stack(a: Layer, b: Layer, counter) -> tuple[Layer, tuple[TripleSum, ...]]:
-    """Product stack for two operand stacks; memoized on the handle pair.
+def _dead_below(layer: Layer, dead: tuple[int, ...]) -> tuple[int, ...]:
+    """The dead states of ``layer``'s child, given the dead states of ``layer``.
 
+    A child state is dead when every entry of its table row and of its table
+    column is dead.
+    """
+    table = layer.table
+    return tuple(
+        s
+        for s, row in enumerate(table)
+        if all(e in dead for e in row) and all(r[s] in dead for r in table)
+    )
+
+
+def _matmul_stack(
+    a: Layer, b: Layer, dead_a: tuple[int, ...], dead_b: tuple[int, ...], counter
+) -> tuple[Layer, tuple[TripleSum, ...]]:
+    """Product stack for two operand stacks; memoized on layers and dead states.
+
+    ``dead_a`` and ``dead_b`` are the dead states of ``a`` and ``b``.
     Returns the product layer at the operands' level plus the formal sum
     tracked by each of its states.  The cache read counts under ``counter``:
     MATMUL for a matmul call's top pair, MATMUL_STACK for the pairs below.
     """
     mgr = a.manager
-    return mgr.memo(mgr.matmul_cache, (a, b), counter, _product_stack, a, b)
+    key = (a, b, dead_a, dead_b)
+    return mgr.memo(mgr.matmul_cache, key, counter, _product_stack, *key)
 
 
-def _product_stack(a: Layer, b: Layer) -> tuple[Layer, tuple[TripleSum, ...]]:
+def _product_stack(a, b, dead_a, dead_b) -> tuple[Layer, tuple[TripleSum, ...]]:
     mgr = a.manager
-    index: dict[TripleSum, int] = {}
-    rows = []
+    ta, tb = a.table, b.table
     if a.level == 1:
         # the level-0 states bits 0 and 1 reach; a DontCare's one state serves both
         sa = (0, a.child.num_states - 1)
         sb = (0, b.child.num_states - 1)
-        for i in range(2):
-            row = []
-            for j in range(2):
-                s = merge_triples(
-                    (a.table[sa[i]][sa[k]], b.table[sb[k]][sb[j]], 1)
-                    for k in range(2)
-                )
-                row.append(index.setdefault(_intern_sum(mgr, s), len(index)))
-            rows.append(tuple(row))
         child = mgr.fork()
+        cells = (
+            [(ta[sa[i]][sa[k]], tb[sb[k]][sb[j]], 1) for k in range(2)]
+            for i in range(2)
+            for j in range(2)
+        )
     else:
-        child, child_sums = _matmul_stack(a.child, b.child, MATMUL_STACK)
-        # One partial per left sum and right pair, then each cell from the
-        # partials its right sum names (see the module docstring); equal
-        # partials give equal rows.  Pairs accumulate under the packed key
-        # (q << shift) | p, whose integer order is the (q, p) order because
-        # every p is below 2**shift.
-        shift = b.num_states.bit_length()
-        mask = (1 << shift) - 1
-        shifted_a = [tuple(q << shift for q in row) for row in a.table]
-        tb = b.table
-        slots: dict[tuple[int, int], int] = {}  # right pair -> its partial's slot
-        rights = [
-            tuple((slots.setdefault((q, p), len(slots)), w) for q, p, w in s)
-            for s in child_sums
-        ]
-        rows_by_partials: dict[tuple, tuple[int, ...]] = {}
-        for left in child_sums:
-            left_rows = [(shifted_a[q], tb[p], w) for q, p, w in left]
-            partials = []
-            for qb, pb in slots:
-                acc: dict[int, int] = {}
-                for row_a, row_b, wa in left_rows:
-                    packed = row_a[qb] | row_b[pb]
-                    acc[packed] = acc.get(packed, 0) + wa
-                partials.append(tuple(sorted(acc.items())))
-            partials = tuple(partials)
-            row = rows_by_partials.get(partials)
-            if row is None:
-                cells = []
-                for right in rights:
-                    out: dict[int, int] = {}
-                    for slot, wb in right:
-                        for packed, w in partials[slot]:
-                            out[packed] = out.get(packed, 0) + w * wb
-                    cell = tuple((k >> shift, k & mask, out[k]) for k in sorted(out))
-                    cells.append(index.setdefault(_intern_sum(mgr, cell), len(index)))
-                row = rows_by_partials[partials] = tuple(cells)
-            rows.append(row)
-    return mgr.intern_layer(child, tuple(rows)), tuple(index)
+        child, child_sums = _matmul_stack(
+            a.child, b.child, _dead_below(a, dead_a), _dead_below(b, dead_b), MATMUL_STACK
+        )
+        cells = (
+            [(ta[qa][qb], tb[pa][pb], wa * wb) for qa, pa, wa in left for qb, pb, wb in right]
+            for left in child_sums
+            for right in child_sums
+        )
+    index: dict[TripleSum, int] = {}
+    states = []
+    for cell in cells:
+        live = [t for t in cell if t[0] not in dead_a and t[1] not in dead_b]
+        # a sum of at most one triple is already canonical
+        s = tuple(live) if len(live) < 2 else merge_triples(live)
+        states.append(index.setdefault(mgr.triple_sums.setdefault(s, s), len(index)))
+    side = child.num_states
+    rows = [states[i:i + side] for i in range(0, len(states), side)]
+    return mgr.intern_layer(child, rows), tuple(index)
 
 
 def matmul(a: MatrixTidd, b: MatrixTidd) -> MatrixTidd:
-    """Exact matrix product; the product stack is memoized on the operand layers."""
+    """Exact matrix product, memoized on the operand layers and their zero states."""
     if a.qubits != b.qubits:
         raise ShapeMismatch(f"qubit counts {a.qubits} and {b.qubits}")
-    top, sums = _matmul_stack(a.t.top, b.t.top, MATMUL)
+    top, sums = _matmul_stack(a.t.top, b.t.top, _dead_top(a.t), _dead_top(b.t), MATMUL)
     raw_values = [
         sum(((a.t.values[q] * b.t.values[p]).scale_int(w) for q, p, w in s), ZERO)
         for s in sums

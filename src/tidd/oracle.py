@@ -15,7 +15,8 @@ from random import Random
 
 from .builders import constant, projection
 from .core import Manager, Tidd
-from .errors import OracleScaleLimit, ShapeMismatch, require_dense, require_power_of_two
+from .errors import IndexOutOfRange, ShapeMismatch
+from .errors import require_at_least, require_dense, require_power_of_two
 from .ops import apply
 from .values import (
     AND,
@@ -39,8 +40,7 @@ class DenseFunction:
     outputs: tuple[Value, ...]
 
     def __post_init__(self) -> None:
-        require_dense(1 << self.level, "a dense table")
-        expected = 1 << (1 << self.level)
+        expected = _dense_size(self.level)
         if len(self.outputs) != expected:
             raise ShapeMismatch(f"expected {expected} outputs, got {len(self.outputs)}")
 
@@ -49,20 +49,28 @@ class DenseFunction:
         return 1 << self.level
 
 
+def _dense_size(level: int) -> int:
+    """2**(2**level), the output count of a dense table at ``level``."""
+    require_at_least(level, 0, "level")
+    require_dense(1 << level, "a dense table")
+    return 1 << (1 << level)
+
+
 def dense_function(level: int, outputs) -> DenseFunction:
     return DenseFunction(level, tuple(as_value(v) for v in outputs))
 
 
 def dense_constant(level: int, v) -> DenseFunction:
-    return DenseFunction(level, (as_value(v),) * (1 << (1 << level)))
+    return DenseFunction(level, (as_value(v),) * _dense_size(level))
 
 
 def dense_projection(level: int, index: int) -> DenseFunction:
-    nvars = 1 << level
-    run = 1 << (nvars - 1 - index)  # assignments per run of equal bit `index`
-    return DenseFunction(
-        level, ((FALSE,) * run + (TRUE,) * run) * ((1 << nvars) // (2 * run))
-    )
+    size = _dense_size(level)
+    require_at_least(index, 0, "projection index")
+    if index >= 1 << level:
+        raise IndexOutOfRange(f"index {index} for {1 << level} variables")
+    run = 1 << ((1 << level) - 1 - index)  # assignments per run of equal bit `index`
+    return DenseFunction(level, ((FALSE,) * run + (TRUE,) * run) * (size // (2 * run)))
 
 
 def dense_from_tidd(f: Tidd) -> DenseFunction:
@@ -200,8 +208,9 @@ def class_counts(d: DenseFunction) -> tuple[int, ...]:
 
 def class_count_at_level(d: DenseFunction, i: int) -> int:
     """Number of context-equivalence classes at level i (see `class_counts`)."""
-    if not 0 <= i <= d.level:
-        raise OracleScaleLimit(f"level {i} outside 0..{d.level}")
+    require_at_least(i, 0, "level")
+    if i > d.level:
+        raise IndexOutOfRange(f"level {i} outside 0..{d.level}")
     return class_counts(d)[i]
 
 

@@ -162,14 +162,16 @@ def _merged_sum(triples):
     return tuple((q, p, w) for (q, p), w in sorted(acc.items()))
 
 
-def reference_product_stack(a, b):
+def reference_product_stack(a, b, dead_a, dead_b):
     """Brute-force product stack of two same-level operand layers.
 
     Returns one (table, formal sums) pair per level from 1 up.  At level 1,
     cell (i, j) merges (a-state of (i, k), b-state of (k, j), 1) over the
     inner bit k.  Above, cell (left, right) merges every
     (ta[qa][qb], tb[pa][pb], wa * wb) over the triples of the left and right
-    child sums.  States are numbered in row-major first occurrence.
+    child sums.  After the merge, a cell drops each triple whose a-state is
+    in ``dead_a[level]`` or whose b-state is in ``dead_b[level]``.  States
+    are numbered in row-major first occurrence.
     """
     if a.level == 1:
         sa = (0, a.child.num_states - 1)
@@ -181,7 +183,7 @@ def reference_product_stack(a, b):
         ]
         levels = []
     else:
-        levels = reference_product_stack(a.child, b.child)
+        levels = reference_product_stack(a.child, b.child, dead_a, dead_b)
         child_sums = levels[-1][1]
         cells = [
             [
@@ -194,9 +196,20 @@ def reference_product_stack(a, b):
             ]
             for left in child_sums
         ]
+    dead_q, dead_p = dead_a[a.level], dead_b[b.level]
     index = {}
     table = tuple(
-        tuple(index.setdefault(_merged_sum(cell), len(index)) for cell in row)
+        tuple(
+            index.setdefault(
+                tuple(
+                    (q, p, w)
+                    for q, p, w in _merged_sum(cell)
+                    if q not in dead_q and p not in dead_p
+                ),
+                len(index),
+            )
+            for cell in row
+        )
         for row in cells
     )
     return levels + [(table, tuple(index))]

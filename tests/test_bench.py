@@ -198,6 +198,11 @@ def test_bv_final_state_is_secret(mgr):
         assert vector_amplitudes(state) == simulate_dense(bv_circuit(n, s), n)
 
 
+def test_bv_64_ends_at_the_secret_basis_state(mgr):
+    state, _ = run_benchmark(mgr, "bv", 64, seed=0)
+    assert state == vector_from_basis_state(mgr, 64, bv_secret(64, 0))
+
+
 def test_bv_secret_must_be_bits():
     for s in ((2, 0), (-1, 0), (0.5, 0)):
         with pytest.raises(GateSpecError):

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from tidd import builders, errors
-from tidd.bench import measure_distribution
+from tidd.bench import GateSpec, measure_distribution
 from tidd.builders import (
     constant,
     equality_relation,
@@ -24,12 +24,22 @@ from tidd.errors import (
     require_power_of_two,
 )
 from tidd.linalg import vector_from_basis_state
-from tidd.oracle import run_equivalence_suite
+from tidd.oracle import (
+    DenseFunction,
+    class_count_at_level,
+    dense_constant,
+    dense_projection,
+    run_equivalence_suite,
+)
 
 
 def _shots(mgr, shots):
     state = vector_from_basis_state(mgr, 2, (0, 0))
     return measure_distribution(state, shots, Random(0))
+
+
+def _class_count(level):
+    return class_count_at_level(dense_constant(1, 0), level)
 
 
 BAD_ARGUMENTS = [
@@ -44,6 +54,14 @@ BAD_ARGUMENTS = [
     ("truth table of text", lambda m: from_truth_table(m, 1, "abcd"), ValueDomainError),
     ("constant 1.5", lambda m: constant(m, 2, 1.5), ValueDomainError),
     ("6-variable suite", lambda m: run_equivalence_suite(m, 6, 1, 0), NotPowerOfTwo),
+    ("dense table level -1", lambda m: DenseFunction(-1, ()), IndexOutOfRange),
+    ("dense constant level -1", lambda m: dense_constant(-1, 1), IndexOutOfRange),
+    ("dense projection level -1", lambda m: dense_projection(-1, 0), IndexOutOfRange),
+    ("dense projection index -1", lambda m: dense_projection(2, -1), IndexOutOfRange),
+    ("dense projection index 7", lambda m: dense_projection(2, 7), IndexOutOfRange),
+    ("class count level 2", lambda m: _class_count(2), IndexOutOfRange),
+    ("class count level -1", lambda m: _class_count(-1), IndexOutOfRange),
+    ("gate on 3 qubits", lambda m: GateSpec("h", (0,), 3), NotPowerOfTwo),
 ]
 
 
@@ -65,6 +83,10 @@ def test_each_minimum_is_accepted(mgr):
     assert equality_relation(mgr, 1).level == 1
     assert sum(_shots(mgr, 1).values()) == 1
     assert run_equivalence_suite(mgr, 1, 3, 0) == (3, 0)
+    assert dense_constant(0, 1).level == 0
+    assert dense_projection(0, 0).outputs == dense_projection(1, 1).outputs[:2]
+    assert _class_count(0) == 1
+    assert GateSpec("h", (0,), 1).qubits == 1
 
 
 def test_power_of_two_returns_its_log():

@@ -36,6 +36,7 @@ GOLDEN = {
     "bv-32-0": "a20268fe0145a483232783ae9dbad1db7aa8cb83e5ebae45b9811a34255c17ab",
     "bv-32-1": "3a06bf33c861b7f0bef63274e8f66b3594c279573143513756d944b098d4c572",
     "bv-32-2": "eb97f2fab5151c1ee218df066e8c253b3b7385d2f1c54464292bb7240174f519",
+    "bv-64-0": "60f43379491ce15b8a7c4862d8eada9516f89a1d828d89c39ec3524346f2af7d",
     "dj-8-0": "3d2f9cef3f07ff35df25363fb075e334f36ee02c9f58e11bc7596c28f4a503e7",
     "dj-8-1": "fc93e5680e8532ae70107f258197bdb18756e5464ae3a3b8663fc678e3b23ede",
     "dj-8-2": "4fde9e1ecf42f2917d048f55023b47c57257cb8f8f6d0857b6ccaa6189d0d3d2",

@@ -21,7 +21,6 @@ from tidd import (
     scalar_multiply,
     vector_from_basis_state,
 )
-from tidd import linalg
 from tidd.bench import bv_circuit, bv_secret, gate_matrix, ghz_circuit
 from tidd.builders import constant, from_truth_table
 from tidd.core import MATMUL_STACK
@@ -29,6 +28,8 @@ from tidd.errors import OracleScaleLimit, ShapeMismatch
 from tidd.linalg import (
     MatrixTidd,
     VectorTidd,
+    _dead_below,
+    _dead_top,
     _matmul_stack,
     is_column_replicated,
     merge_triples,
@@ -86,7 +87,7 @@ def test_matmul_matches_dense(mgr):
 
 @pytest.mark.parametrize("states", [1, 2, 4])
 def test_matmul_matches_dense_at_packed_key_shifts(mgr, states):
-    # b's top layer has 1, 2 or 4 states: packed keys shift q by 1, 2 or 3 bits
+    # b's top layer has 1, 2 or 4 states, none of them dead
     rng = Random(40 + states)
     for qubits in (1, 2, 4):
         level = qubits.bit_length()
@@ -105,15 +106,16 @@ def test_repeated_stack_read_hits_the_layer_pair_memo(mgr):
     rng = Random(39)
     a = random_matrix(mgr, rng, 4)
     b = random_matrix(mgr, rng, 4)
-    first = _matmul_stack(a.t.top, b.t.top, MATMUL_STACK)
-    # every product stack is stored under its operand layer pair
-    assert mgr.matmul_cache[(a.t.top, b.t.top)] is first
-    assert all(
-        type(key) is tuple and len(key) == 2 and key[0].level == key[1].level
-        for key in mgr.matmul_cache
-    )
+    key = (a.t.top, b.t.top, _dead_top(a.t), _dead_top(b.t))
+    assert key[2] and key[3]  # both operands have a zero entry
+    first = _matmul_stack(*key, MATMUL_STACK)
+    # every product stack is stored under its operand layers and dead states
+    assert mgr.matmul_cache[key] is first
+    for la, lb, dead_a, dead_b in mgr.matmul_cache:
+        assert la.level == lb.level
+        assert type(dead_a) is tuple and type(dead_b) is tuple
     hits = mgr.stats["matmul_stack_hits"]
-    assert _matmul_stack(a.t.top, b.t.top, MATMUL_STACK) is first
+    assert _matmul_stack(*key, MATMUL_STACK) is first
     assert mgr.stats["matmul_stack_hits"] == hits + 1
 
 
@@ -142,11 +144,59 @@ def test_matmul_shape_mismatch(mgr):
         matmul(a, b)
 
 
-def assert_stack_matches_reference(a, b):
-    """Each level of the product stack of layers a, b equals the brute-force one."""
-    expected = reference_product_stack(a, b)
-    for la, lb, (table, sums) in zip(a.stack()[1:], b.stack()[1:], expected, strict=True):
-        layer, got = _matmul_stack(la, lb, MATMUL_STACK)
+def dead_states(f):
+    """The kernel's dead states of diagram f, by level from 1 up to the top."""
+    dead = {f.level: _dead_top(f)}
+    for layer in reversed(f.top.stack()[2:]):
+        dead[layer.level - 1] = _dead_below(layer, dead[layer.level])
+    return dead
+
+
+def brute_force_dead_states(f):
+    """Dead states of diagram f by level from 1 up, from every assignment.
+
+    A state is live when some assignment that reaches it, at any block
+    position, evaluates to a nonzero value.  Each half-assignment is run
+    once up to the level below the top; every pair of halves is then one
+    assignment, evaluated through the top table.
+    """
+    layers = f.top.stack()
+    half_bits = 1 << (f.level - 1)
+    last = layers[0].num_states - 1
+    halves = []  # (state at the top of the half, states reached per level)
+    for x in range(1 << half_bits):
+        states = [((x >> i) & 1) * last for i in range(half_bits)]
+        reached = []
+        for layer in layers[1:-1]:
+            t = layer.table
+            states = [t[states[i]][states[i + 1]] for i in range(0, len(states), 2)]
+            reached.append(set(states))
+        halves.append((states[0], reached))
+    top = layers[-1].table
+    live = [set() for _ in layers[1:]]
+    live_halves = set()
+    for i, (s, _) in enumerate(halves):
+        for j, (r, _) in enumerate(halves):
+            if not f.values[top[s][r]].is_zero():
+                live[-1].add(top[s][r])
+                live_halves.update((i, j))
+    for i in live_halves:
+        for level_live, reached in zip(live, halves[i][1]):
+            level_live |= reached
+    return {
+        layer.level: tuple(sorted(set(range(layer.num_states)) - level_live))
+        for layer, level_live in zip(layers[1:], live)
+    }
+
+
+def assert_stack_matches_reference(f, g):
+    """Each level of the product stack of diagrams f, g equals the brute-force one."""
+    dead_f, dead_g = dead_states(f), dead_states(g)
+    expected = reference_product_stack(f.top, g.top, dead_f, dead_g)
+    for la, lb, (table, sums) in zip(
+        f.top.stack()[1:], g.top.stack()[1:], expected, strict=True
+    ):
+        layer, got = _matmul_stack(la, lb, dead_f[la.level], dead_g[lb.level], MATMUL_STACK)
         assert layer.table == table
         assert got == sums
 
@@ -172,29 +222,29 @@ def test_product_stack_matches_reference_on_random_matrices(mgr):
             make = random_local_sum if qubits == 8 else random_matrix
             a = make(mgr, rng, qubits)
             b = make(mgr, rng, qubits)
-            assert_stack_matches_reference(a.t.top, b.t.top)
-            assert_stack_matches_reference(b.t.top, a.t.top)
+            assert_stack_matches_reference(a.t, b.t)
+            assert_stack_matches_reference(b.t, a.t)
 
 
 def test_product_stack_matches_reference_on_sums_with_equal_pairs(mgr):
     # A 0/1 matrix times all-ones: child sums at level 3 share their (q, p)
-    # pairs and differ only in weights, so a row may not be reused on pairs alone
+    # pairs and differ only in weights
     rng = Random(44)
-    ones = constant(mgr, 4, 1).top
+    ones = constant(mgr, 4, 1)
     for _ in range(4):
         blocks = [from_truth_table(mgr, 3, random_truth_table(rng, 3, (0, 1))) for _ in range(2)]
-        a = kronecker(*blocks).top
+        a = kronecker(*blocks)
         assert_stack_matches_reference(a, ones)
         assert_stack_matches_reference(ones, a)
 
 
 def circuit_operand_pairs(mgr, algo):
-    """The (gate matrix, state) operand pairs of an 8-qubit circuit, in order."""
+    """The (gate matrix, state) operand diagrams of an 8-qubit circuit, in order."""
     gates = bv_circuit(8, bv_secret(8, 0)) if algo == "bv" else ghz_circuit(8)
     state = vector_from_basis_state(mgr, 8, (0,) * 8)
     for g in gates:
         matrix = gate_matrix(mgr, g)
-        yield matrix.t.top, state.t.t.top
+        yield matrix.t, state.t.t
         state = matvec(matrix, state)
 
 
@@ -204,26 +254,36 @@ def test_product_stack_matches_reference_on_circuit_operands(mgr, algo):
         assert_stack_matches_reference(a, b)
 
 
-def test_product_stack_reuses_the_row_of_equal_partials(mgr, monkeypatch):
-    interned = []
-    intern_sum = linalg._intern_sum
+def test_dead_states_match_brute_force(mgr):
+    rng = Random(45)
+    diagrams = [
+        from_truth_table(mgr, level, random_truth_table(rng, level))
+        for level in (1, 2, 3)
+        for _ in range(8)
+    ]
+    for algo in ("bv", "ghz"):
+        for a, b in circuit_operand_pairs(mgr, algo):
+            diagrams += [a, b]
+    dead_below_top = 0
+    for f in diagrams:
+        dead = dead_states(f)
+        assert dead == brute_force_dead_states(f)
+        # two dead states would have equal rows and columns
+        assert all(len(states) <= 1 for states in dead.values())
+        dead_below_top += sum(len(dead[level]) for level in range(1, f.level))
+    assert dead_below_top > 0
 
-    def counting(m, s):
-        interned.append(s)
-        return intern_sum(m, s)
 
-    monkeypatch.setattr(linalg, "_intern_sum", counting)
-    reused = 0
-    for a, b in circuit_operand_pairs(mgr, "bv"):
-        _matmul_stack(a.child, b.child, MATMUL_STACK)
-        interned.clear()
-        # the top level alone: its child pair is cached, so no other level runs
-        layer, sums = linalg._product_stack(a, b)
-        assert reference_product_stack(a, b)[-1] == (layer.table, sums)
-        # one interned sum per cell of each row built; a reused row interns none
-        assert len(interned) % len(layer.table) == 0
-        reused += len(layer.table) - len(interned) // len(layer.table)
-    assert reused > 0
+@pytest.mark.parametrize("algo", ["bv", "ghz"])
+def test_circuit_sums_are_short_and_hold_no_dead_state(mgr, algo):
+    for f, g in circuit_operand_pairs(mgr, algo):
+        dead_f, dead_g = dead_states(f), dead_states(g)
+        for la, lb in zip(f.top.stack()[1:], g.top.stack()[1:]):
+            dead_q, dead_p = dead_f[la.level], dead_g[lb.level]
+            _, sums = _matmul_stack(la, lb, dead_q, dead_p, MATMUL_STACK)
+            for s in sums:
+                assert len(s) <= 2
+                assert all(q not in dead_q and p not in dead_p for q, p, _ in s)
 
 
 def test_merge_triples_canonical():
@@ -380,16 +440,27 @@ def test_repeated_matmul_records_one_hit(mgr):
     assert mgr.stats["matmul_stack_misses"] == stats["matmul_stack_misses"]
 
 
-def test_matmul_reuses_the_stack_for_new_values(mgr):
+def assert_new_values_read_the_memo(mgr, change, hit):
+    """matmul of a's layers with changed values hits the memo iff ``hit``."""
     rng = Random(37)
     for qubits in (1, 2, 4):
         a = random_matrix(mgr, rng, qubits)
         b = random_matrix(mgr, rng, qubits)
         matmul(a, b)
-        # same layers, other values: only the top values are resolved again
-        shifted = MatrixTidd(Tidd(a.t.top, tuple(v + ONE for v in a.t.values)), qubits)
+        changed = MatrixTidd(Tidd(a.t.top, tuple(change(v) for v in a.t.values)), qubits)
+        assert (_dead_top(changed.t) == _dead_top(a.t)) == hit
         hits = mgr.stats["matmul_hits"]
-        got = dense_from_tidd(matmul(shifted, b).t)
-        assert mgr.stats["matmul_hits"] == hits + 1
-        expected = dense_matmul(dense_from_tidd(shifted.t), dense_from_tidd(b.t))
+        got = dense_from_tidd(matmul(changed, b).t)
+        assert mgr.stats["matmul_hits"] == hits + hit
+        expected = dense_matmul(dense_from_tidd(changed.t), dense_from_tidd(b.t))
         assert got.outputs == expected.outputs
+
+
+def test_matmul_reuses_the_stack_when_the_zero_state_stays(mgr):
+    # doubled values: the same layers and the same zero state
+    assert_new_values_read_the_memo(mgr, lambda v: v + v, hit=True)
+
+
+def test_matmul_rebuilds_the_stack_when_the_zero_state_moves(mgr):
+    # values shifted by one: the state of value -1 becomes the zero state
+    assert_new_values_read_the_memo(mgr, lambda v: v + ONE, hit=False)

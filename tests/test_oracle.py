@@ -17,7 +17,13 @@ from tidd import (
     state_counts,
 )
 from tidd.builders import from_truth_table
-from tidd.errors import NotPowerOfTwo, OracleScaleLimit, ShapeMismatch, ValueDomainError
+from tidd.errors import (
+    IndexOutOfRange,
+    NotPowerOfTwo,
+    OracleScaleLimit,
+    ShapeMismatch,
+    ValueDomainError,
+)
 from tidd.oracle import (
     _BOOL_OPS,
     anti_diagonal_row_classes,
@@ -267,7 +273,7 @@ def test_class_counts_cover_every_level(mgr):
     assert counts == tuple(class_count_at_level(d, i) for i in range(d.level + 1))
     assert counts[2] == 16 and counts[d.level] == 2
     for bad in (-1, d.level + 1):
-        with pytest.raises(OracleScaleLimit):
+        with pytest.raises(IndexOutOfRange):
             class_count_at_level(d, bad)
 
 
