@@ -1,17 +1,18 @@
 """GHZ / BV / DJ benchmark circuits, state evolution, and measurement.
 
-Circuits are lists of gate specifications; every gate is materialized as a
-full n-qubit matrix diagram and applied to a column-replicated state vector
+Circuits are lists of gate specifications.  Every gate kind is a sum of
+tensor products of 2x2 blocks (``_TERMS``), and every gate is materialized as
+a full n-qubit matrix diagram and applied to a column-replicated state vector
 by matrix multiplication.  Metrics track the final-state size and the
 maximum size of any state or gate materialized during the run.
 
 BV and DJ use phase oracles rather than ancilla oracles: this halves the
 qubit count, keeps every amplitude inside the exact ring, and carries the
 same information content.  The BV oracle is the diagonal (-1)**(s.x),
-realized as one Z factor per set bit of the secret s.  The DJ balanced
-oracle is the same diagonal for a seeded random parity pattern with qubit 0
-always included (which guarantees balance); the constant oracle is the
-identity.  The seed fully determines both.
+realized as one Z factor per set bit of the secret s.  A DJ circuit is the
+BV circuit over a pattern: for the balanced oracle, a seeded random parity
+pattern with qubit 0 always included (which guarantees balance); for the
+constant oracle, all zeros (the identity).  The seed fully determines both.
 """
 
 from __future__ import annotations
@@ -20,16 +21,12 @@ import time
 from dataclasses import dataclass
 from random import Random
 
-from .core import Manager, SizeReport, Tidd, size_metrics
+from .core import Manager, SizeReport, size_metrics
 from .errors import GateSpecError, require_at_least, require_power_of_two
-from .linalg import MatrixTidd, VectorTidd, matvec, tensor_fold, tensor_powers
-from .linalg import vector_from_basis_state
+from .linalg import MatrixTidd, VectorTidd, matvec, qubit_sum, vector_from_basis_state
 from .analysis import sample
-from .builders import from_truth_table
 from .ops import apply
-from .values import PLUS, SQRT2_HALF, TIMES, Value
-
-GATE_KINDS = ("h", "x", "z", "i", "cnot", "cz")
+from .values import SQRT2_HALF, TIMES, Value
 
 _H = (SQRT2_HALF, SQRT2_HALF, SQRT2_HALF, -SQRT2_HALF)
 _X = (Value(0, 0), Value(1, 0), Value(1, 0), Value(0, 0))
@@ -38,7 +35,16 @@ _I = (Value(1, 0), Value(0, 0), Value(0, 0), Value(1, 0))
 _P0 = (Value(1, 0), Value(0, 0), Value(0, 0), Value(0, 0))  # |0><0|
 _P1 = (Value(0, 0), Value(0, 0), Value(0, 0), Value(1, 0))  # |1><1|
 
-_SINGLE = {"h": _H, "x": _X, "z": _Z, "i": _I}
+# kind -> terms; a term's entries go on the gate's targets in order, I elsewhere
+_TERMS = {
+    "h": ((_H,),),
+    "x": ((_X,),),
+    "z": ((_Z,),),
+    "i": ((_I,),),
+    "cnot": ((_P0,), (_P1, _X)),  # |0><0| (x) I + |1><1| (x) X, control first
+    "cz": ((_P0,), (_P1, _Z)),
+}
+GATE_KINDS = tuple(_TERMS)
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,7 @@ class GateSpec:
         require_power_of_two(self.qubits, 1, "qubit count")
         if self.kind not in GATE_KINDS:
             raise GateSpecError(f"unknown gate kind {self.kind!r}")
-        expected = 2 if self.kind in ("cnot", "cz") else 1
+        expected = len(_TERMS[self.kind][-1])
         if len(self.targets) != expected:
             raise GateSpecError(f"{self.kind} takes {expected} target(s)")
         for t in self.targets:
@@ -67,24 +73,9 @@ def gate(kind: str, targets, qubits: int) -> GateSpec:
 
 
 def gate_matrix(mgr: Manager, g: GateSpec) -> MatrixTidd:
-    """The full n-qubit unitary for one gate.
-
-    Single-qubit gates tensor the 2x2 gate with identities; CNOT and CZ are
-    the sum of the two controlled branches |0><0| (x) I + |1><1| (x) U.
-    """
-    n = g.qubits
-    identities = tensor_powers(from_truth_table(mgr, 1, _I), n)
-
-    def fold(entries: dict[int, tuple]) -> Tidd:  # qubit -> 2x2 entries, row-major
-        factors = {q: from_truth_table(mgr, 1, e) for q, e in entries.items()}
-        return tensor_fold(factors, 0, n, identities)
-
-    if g.kind in _SINGLE:
-        return MatrixTidd(fold({g.targets[0]: _SINGLE[g.kind]}), n)
-    control, target = g.targets
-    branch0 = fold({control: _P0})
-    flip = _X if g.kind == "cnot" else _Z
-    return MatrixTidd(apply(PLUS, branch0, fold({control: _P1, target: flip})), n)
+    """The full n-qubit unitary for one gate: the sum of its ``_TERMS`` products."""
+    terms = [dict(zip(g.targets, t)) for t in _TERMS[g.kind]]
+    return qubit_sum(mgr, g.qubits, terms, _I)
 
 
 def ghz_circuit(n: int) -> list[GateSpec]:
@@ -94,6 +85,7 @@ def ghz_circuit(n: int) -> list[GateSpec]:
 
 
 def bv_secret(n: int, seed: int) -> tuple[int, ...]:
+    require_power_of_two(n, 2, "qubit count")
     rng = Random(seed)
     return tuple(rng.randrange(2) for _ in range(n))
 
@@ -110,30 +102,23 @@ def bv_circuit(n: int, s) -> list[GateSpec]:
 
 
 def dj_parity_pattern(n: int, seed: int) -> tuple[int, ...]:
-    """Balanced-oracle parity pattern: seeded random bits, qubit 0 forced on."""
-    rng = Random(seed)
-    pattern = [rng.randrange(2) for _ in range(n)]
-    pattern[0] = 1
-    return tuple(pattern)
+    """Balanced-oracle parity pattern: the seed's BV secret with qubit 0 forced on."""
+    return (1,) + bv_secret(n, seed)[1:]
 
 
 def dj_circuit(n: int, mode: str, seed: int = 0) -> list[GateSpec]:
-    """Deutsch-Jozsa with a phase oracle.
+    """Deutsch-Jozsa with a phase oracle: the BV circuit over a pattern.
 
-    mode "constant": the oracle is the identity (constant function).
-    mode "balanced": the oracle is the diagonal (-1)**(b.x) for the seeded
-    parity pattern b, which is balanced because b is nonzero.
+    mode "constant": the all-zero pattern, whose oracle is the identity.
+    mode "balanced": the seeded parity pattern b, whose oracle (-1)**(b.x) is
+    balanced because b is nonzero.
     """
     require_power_of_two(n, 2, "qubit count")
-    layer = [gate("h", i, n) for i in range(n)]
     if mode == "constant":
-        oracle: list[GateSpec] = []
-    elif mode == "balanced":
-        b = dj_parity_pattern(n, seed)
-        oracle = [gate("z", i, n) for i in range(n) if b[i]]
-    else:
-        raise GateSpecError(f"unknown DJ mode {mode!r}")
-    return layer + oracle + list(layer)
+        return bv_circuit(n, (0,) * n)
+    if mode == "balanced":
+        return bv_circuit(n, dj_parity_pattern(n, seed))
+    raise GateSpecError(f"unknown DJ mode {mode!r}")
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,14 @@ arbitrary-precision: inner dimensions reach 2**n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 
 from .analysis import top_path_counts
 from .builders import equality_relation, from_truth_table
 from .core import MATMUL, MATMUL_STACK, Layer, Manager, Tidd, evaluate
 from .errors import ShapeMismatch, require_dense, require_power_of_two
 from .ops import apply, canonical_tidd, kronecker
-from .values import TIMES, Value, ZERO
+from .values import PLUS, TIMES, Value, ZERO
 
 TripleSum = tuple[tuple[int, int, int], ...]
 
@@ -81,32 +82,33 @@ def identity_matrix(mgr: Manager, qubits: int) -> MatrixTidd:
     return MatrixTidd(equality_relation(mgr, level), qubits)
 
 
-def tensor_powers(base: Tidd, n: int) -> list[Tidd]:
-    """``[base, base (x) base, ...]`` up to the n-fold tensor power of ``base``.
+def qubit_sum(mgr: Manager, qubits: int, terms, blank: tuple) -> MatrixTidd:
+    """The sum over the sequence ``terms`` of one tensor product each.
 
-    Entry k is the 2**k-fold power (n a power of two): the blanks of ``tensor_fold``.
+    A term maps qubits to row-major 2x2 entry tuples; each other qubit of the
+    ``qubits`` takes the 2x2 ``blank``.  A product is a balanced tensor fold in
+    which a factor-free span of 2**k qubits is the blank's 2**k-fold power, so
+    a fold over few factors costs O(log n) tensor products rather than O(n).
+    The powers, and one table per entries object, are built once per call.
     """
-    powers = [base]
-    while 1 << (len(powers) - 1) < n:
+    require_power_of_two(qubits, 1, "qubit count")
+    powers = [from_truth_table(mgr, 1, blank)]  # entry k: the 2**k-fold power
+    while 1 << (len(powers) - 1) < qubits:
         powers.append(kronecker(powers[-1], powers[-1]))
-    return powers
+    distinct = {id(e): e for t in terms for e in t.values()}  # by id: Value hashes are slow
+    tables = {i: from_truth_table(mgr, 1, e) for i, e in distinct.items()}
+    products = (_fold({q: tables[id(e)] for q, e in t.items()}, 0, qubits, powers)
+                for t in terms)
+    return MatrixTidd(reduce(partial(apply, PLUS), products), qubits)
 
 
-def tensor_fold(factors: dict[int, Tidd], lo: int, hi: int, blank: list[Tidd]) -> Tidd:
-    """Balanced tensor fold of per-qubit factors over qubits [lo, hi).
-
-    A qubit without a factor takes the blank one; a factor-free span of 2**k
-    qubits is ``blank[k]`` (see ``tensor_powers``), so a fold over few factors
-    costs O(log n) tensor products rather than O(n).
-    """
-    if not any(lo <= i < hi for i in factors):
-        return blank[(hi - lo).bit_length() - 1]
+def _fold(factors: dict[int, Tidd], lo: int, hi: int, powers: list[Tidd]) -> Tidd:
+    if not any(lo <= q < hi for q in factors):
+        return powers[(hi - lo).bit_length() - 1]
     if hi - lo == 1:
         return factors[lo]
     mid = (lo + hi) // 2
-    return kronecker(
-        tensor_fold(factors, lo, mid, blank), tensor_fold(factors, mid, hi, blank)
-    )
+    return kronecker(_fold(factors, lo, mid, powers), _fold(factors, mid, hi, powers))
 
 
 def vector_from_basis_state(mgr: Manager, qubits: int, bits) -> VectorTidd:
@@ -114,16 +116,13 @@ def vector_from_basis_state(mgr: Manager, qubits: int, bits) -> VectorTidd:
 
     Column replication makes it the tensor product of one 2x2 factor per
     qubit, |b><+| with <+| = (1, 1) unnormalized: |1><+| on the set bits,
-    folded over the tensor powers of |0><+|.
+    |0><+| elsewhere.
     """
     bits = tuple(bits)
     if len(bits) != qubits or any(b not in (0, 1) for b in bits):
         raise ShapeMismatch(f"{bits!r} is not {qubits} bits")
-    require_power_of_two(qubits, 1, "qubit count")
-    ket1 = from_truth_table(mgr, 1, (0, 0, 1, 1))  # |1><+|, row-major over (x, y)
-    factors = {i: ket1 for i, b in enumerate(bits) if b}
-    blank = tensor_powers(from_truth_table(mgr, 1, (1, 1, 0, 0)), qubits)  # |0><+|
-    return VectorTidd(MatrixTidd(tensor_fold(factors, 0, qubits, blank), qubits))
+    ket1 = {i: (0, 0, 1, 1) for i, b in enumerate(bits) if b}  # |1><+|, row-major
+    return VectorTidd(qubit_sum(mgr, qubits, [ket1], (1, 1, 0, 0)))  # blank |0><+|
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,16 @@ package's own tensor pipeline: grids are plain lists of ring values built by
 textbook Kronecker products, and statevectors are plain lists updated one
 amplitude pair at a time, so circuit tests check the diagram path against
 an implementation that shares nothing but the scalar type.
+
+``benchmark_run`` is the one exception: a package benchmark run, cached so
+that tests checking the same run simulate it once per session.
 """
 
+from functools import cache
 from random import Random
 
-from tidd import Value, as_value
+from tidd import Manager, Value, as_value
+from tidd.bench import run_benchmark
 from tidd.values import SQRT2_HALF
 
 S = SQRT2_HALF
@@ -125,6 +130,17 @@ def simulate_dense(gates, n, start_bits=None):
     for g in gates:
         vec = dense_gate_apply(g.kind, g.targets, g.qubits, vec)
     return vec
+
+
+@cache
+def benchmark_run(algo, qubits, seed):
+    """``run_benchmark`` on a fresh Manager, simulated once per session."""
+    return run_benchmark(Manager(), algo, qubits, seed)
+
+
+def matrix_assignment(rows, cols):
+    """The interleaved assignment <x0, y0, x1, y1, ...> of row and column bits."""
+    return [b for pair in zip(rows, cols) for b in pair]
 
 
 def bits_of(index, width):

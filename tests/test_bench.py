@@ -1,9 +1,10 @@
+from itertools import permutations, product
 from random import Random
 
 import pytest
 
 from tidd import builders, linalg
-from tidd import Value, equal, identity_matrix, validate
+from tidd import Value, equal, evaluate, identity_matrix, validate
 from tidd.bench import (
     GateSpec,
     bv_circuit,
@@ -32,7 +33,16 @@ from tidd.oracle import dense_from_tidd, dense_to_matrix, matrix_to_dense
 from tidd.builders import from_truth_table
 from tidd.values import SQRT2_HALF
 
-from helpers import dense_gate_apply, dense_gate_grid, grid_matvec, simulate_dense
+from helpers import (
+    GRID_2X2,
+    V0,
+    benchmark_run,
+    dense_gate_apply,
+    dense_gate_grid,
+    grid_matvec,
+    matrix_assignment,
+    simulate_dense,
+)
 
 
 def test_gate_spec_validation():
@@ -113,6 +123,42 @@ def test_eight_qubit_gates_match_dense_grids(mgr):
     for kind, targets in cases:
         g = gate_matrix(mgr, gate(kind, targets, 8))
         assert dense_to_matrix(dense_from_tidd(g.t)) == dense_gate_grid(kind, targets, 8)
+
+
+def closed_form_entry(kind, targets, x, y):
+    """Gate entry (x, y): [x_i = y_i] off the targets times the targets' 2x2 entry."""
+    if any(a != b for q, (a, b) in enumerate(zip(x, y)) if q not in targets):
+        return V0
+    if len(targets) == 1:
+        (t,) = targets
+        return GRID_2X2[kind][x[t]][y[t]]
+    control, t = targets
+    if x[control] != y[control]:
+        return V0
+    block = "i" if x[control] == 0 else {"cnot": "x", "cz": "z"}[kind]
+    return GRID_2X2[block][x[t]][y[t]]
+
+
+@pytest.mark.parametrize("n", [16, 64, 512])
+def test_gates_past_the_dense_cap_match_the_closed_form(mgr, n):
+    rng = Random(n)
+    spots = (0, n // 2, n - 1)
+    cases = [(kind, (q,)) for kind in ("h", "x", "z", "i") for q in spots]
+    cases += [(kind, pair) for kind in ("cnot", "cz") for pair in permutations(spots, 2)]
+    for kind, targets in cases:
+        g = gate_matrix(mgr, gate(kind, targets, n)).t
+        pairs = [([rng.randrange(2) for _ in range(n)], [rng.randrange(2) for _ in range(n)])
+                 for _ in range(64)]
+        for _ in range(4):  # pairs that differ only on the gate's own qubits
+            base = [rng.randrange(2) for _ in range(n)]
+            for own in product((0, 1), repeat=2 * len(targets)):
+                x, y = list(base), list(base)
+                for i, t in enumerate(targets):
+                    x[t], y[t] = own[2 * i], own[2 * i + 1]
+                pairs.append((x, y))
+        for x, y in pairs:
+            expected = closed_form_entry(kind, targets, x, y)
+            assert evaluate(g, matrix_assignment(x, y)) == expected, (kind, targets)
 
 
 def test_gate_matrix_builds_no_equality_relation(mgr, monkeypatch):
@@ -198,9 +244,9 @@ def test_bv_final_state_is_secret(mgr):
         assert vector_amplitudes(state) == simulate_dense(bv_circuit(n, s), n)
 
 
-def test_bv_64_ends_at_the_secret_basis_state(mgr):
-    state, _ = run_benchmark(mgr, "bv", 64, seed=0)
-    assert state == vector_from_basis_state(mgr, 64, bv_secret(64, 0))
+def test_bv_64_ends_at_the_secret_basis_state():
+    state, _ = benchmark_run("bv", 64, 0)
+    assert state == vector_from_basis_state(state.t.t.manager, 64, bv_secret(64, 0))
 
 
 def test_bv_secret_must_be_bits():
@@ -233,6 +279,15 @@ def test_dj_balanced_never_returns_zeros(mgr):
 def test_dj_mode_validation():
     with pytest.raises(GateSpecError):
         dj_circuit(4, "bogus")
+
+
+def test_secrets_and_patterns_check_the_qubit_count(mgr):
+    with pytest.raises(NotPowerOfTwo):
+        run_benchmark(mgr, "bv", 2.0)
+    with pytest.raises(NotPowerOfTwo):
+        bv_secret(-4, 0)
+    with pytest.raises(NotPowerOfTwo):
+        dj_parity_pattern(0, 0)
 
 
 def test_norm_conserved_through_ghz(mgr):

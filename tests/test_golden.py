@@ -16,7 +16,9 @@ from random import Random
 import pytest
 
 from tidd import Manager, anti_diagonal, dump, equality_relation, sample
-from tidd.bench import measure_distribution, metrics_fields, run_benchmark
+from tidd.bench import measure_distribution, metrics_fields
+
+from helpers import benchmark_run
 
 GOLDEN = {
     "ghz-8-0": "aa6a63d1a652ff114e4ec0308aa7d9b1a34550ef86eee8287d9e5222e43599d2",
@@ -61,7 +63,7 @@ SHOTS = 200
 
 
 def circuit_text(algo: str, qubits: int, seed: int) -> str:
-    state, metrics = run_benchmark(Manager(), algo, qubits, seed)
+    state, metrics = benchmark_run(algo, qubits, seed)
     row = metrics_fields(algo, qubits, seed, metrics)[:-1]  # drop wall_seconds
     return dump(state.t.t) + "\n" + ",".join(str(x) for x in row)
 
@@ -74,7 +76,7 @@ def sample_text(kind: str, n: int) -> str:
 
 
 def measure_text(qubits: int) -> str:
-    state, _ = run_benchmark(Manager(), "ghz", qubits)
+    state, _ = benchmark_run("ghz", qubits, 0)
     return repr(sorted(measure_distribution(state, SHOTS, Random(SEED)).items()))
 
 

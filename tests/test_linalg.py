@@ -11,6 +11,7 @@ from tidd import (
     apply,
     equal,
     equality_relation,
+    evaluate,
     hadamard_family,
     identity_matrix,
     kronecker,
@@ -33,15 +34,14 @@ from tidd.linalg import (
     _matmul_stack,
     is_column_replicated,
     merge_triples,
-    tensor_fold,
-    tensor_powers,
+    qubit_sum,
     vector_amplitudes,
     vector_norm_squared,
 )
 from tidd.oracle import dense_from_tidd, dense_matmul, dense_to_matrix
 from tidd.values import SQRT2_HALF
 
-from helpers import bits_of, random_truth_table, reference_product_stack
+from helpers import bits_of, matrix_assignment, random_truth_table, reference_product_stack
 
 
 def random_matrix(mgr, rng, qubits):
@@ -207,12 +207,11 @@ def random_local_sum(mgr, rng, qubits):
     At 8 qubits a full random table has 65,536 product states at the top,
     too many for the brute-force reference; these have at most a few dozen.
     """
-    blank = tensor_powers(identity_matrix(mgr, 1).t, qubits)
+    values = (0, 1, 2, 3, -1, -2)
     terms = [
-        tensor_fold({rng.randrange(qubits): random_matrix(mgr, rng, 1).t}, 0, qubits, blank)
-        for _ in range(2)
+        {rng.randrange(qubits): tuple(random_truth_table(rng, 1, values))} for _ in range(2)
     ]
-    return MatrixTidd(apply(PLUS, *terms), qubits)
+    return qubit_sum(mgr, qubits, terms, (1, 0, 0, 1))
 
 
 def test_product_stack_matches_reference_on_random_matrices(mgr):
@@ -375,6 +374,23 @@ def test_every_basis_state_equals_the_projection_fold(mgr):
             v = vector_from_basis_state(mgr, qubits, bits)
             assert v.t.t == projection_fold_basis_state(mgr, qubits, bits)
             assert is_column_replicated(v.t)
+
+
+def test_basis_state_past_the_dense_cap(mgr):
+    rng = Random(64)
+    n = 64
+    bits = [rng.randrange(2) for _ in range(n)]
+    v = vector_from_basis_state(mgr, n, bits).t.t
+    rows = [(bits, ONE)]
+    for _ in range(50):  # other rows, one to three bits away
+        row = list(bits)
+        for q in rng.sample(range(n), rng.randint(1, 3)):
+            row[q] ^= 1
+        rows.append((row, Value(0, 0)))
+    for row, expected in rows:
+        for _ in range(4):
+            column = [rng.randrange(2) for _ in range(n)]
+            assert evaluate(v, matrix_assignment(row, column)) == expected
 
 
 def test_matvec_identity(mgr):
