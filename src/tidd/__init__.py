@@ -40,7 +40,6 @@ from .linalg import (
 )
 from .ops import (
     apply,
-    canonical_renumber,
     canonical_tidd,
     kronecker,
     pair_product,
@@ -68,11 +67,11 @@ __all__ = [
     "AND", "FALSE", "FIRST", "MINUS", "Manager", "MatrixTidd", "ONE", "OR",
     "PLUS", "SizeReport", "TIMES", "TRUE", "Tidd", "ValidationReport",
     "Value", "VectorTidd", "XOR", "ZERO", "anti_diagonal", "apply",
-    "as_value", "canonical_renumber", "canonical_tidd", "constant", "dump",
-    "equal", "equality_relation", "evaluate", "from_truth_table",
-    "hadamard_family", "identity_matrix", "kronecker", "matmul", "matvec",
-    "negation", "no_distinction_proto", "pair_product", "path_counts",
-    "projection", "reduce_stack", "reduce_tidd", "sample", "scalar_multiply",
+    "as_value", "canonical_tidd", "constant", "dump", "equal",
+    "equality_relation", "evaluate", "from_truth_table", "hadamard_family",
+    "identity_matrix", "kronecker", "matmul", "matvec", "negation",
+    "no_distinction_proto", "pair_product", "path_counts", "projection",
+    "reduce_stack", "reduce_tidd", "sample", "scalar_multiply",
     "size_metrics", "state_counts", "top_path_counts", "total_states",
     "validate", "vector_from_basis_state",
 ]

@@ -82,7 +82,7 @@ def from_truth_table(mgr: Manager, level: int, outputs) -> Tidd:
 
     ``outputs[i]`` is the value at the assignment whose bits spell i in
     big-endian order.  Built by reducing the exact-string stack, which merges
-    identical sub-tables bottom-up with canonical renumbering.
+    identical sub-tables into first-occurrence classes.
     """
     require_at_least(level, 0, "level")
     require_dense(1 << level, "a truth table")

@@ -71,6 +71,17 @@ class Layer:
         return f"<Layer L{self.level} states={self.num_states}>"
 
 
+def first_occurrence(keys) -> tuple[tuple[int, ...], tuple]:
+    """Number hashable keys by first occurrence: the single numbering rule.
+
+    Returns the number of each key, in input order, and the distinct keys,
+    where distinct key j is the one numbered j.
+    """
+    index: dict = {}
+    numbers = tuple(index.setdefault(key, len(index)) for key in keys)
+    return numbers, tuple(index)
+
+
 def check_canonical_order(table: Table) -> int:
     """Verify first-occurrence order; return the parent-state count.
 
@@ -172,7 +183,7 @@ class Manager:
 
         The table must be total, square with side child.num_states, and in
         first-occurrence canonical order; non-canonical tables are rejected,
-        not repaired (canonical_renumber is the single repair point).  A table
+        not repaired (``intern_cells`` numbers cells canonically).  A table
         that is already interned passed both checks, so they run on a miss.
         """
         table = tuple(map(tuple, table))
@@ -190,6 +201,18 @@ class Manager:
         layer = Layer(self, child.level + 1, child, table, num_states)
         self._layers[key] = layer
         return layer
+
+    def intern_cells(self, child: Layer, cells) -> tuple[Layer, tuple]:
+        """Intern the layer whose row-major cells are the hashable ``cells``.
+
+        Cells are numbered by ``first_occurrence``, so the table is canonical;
+        returns the layer and the distinct cells, cell j being state j.  A
+        cell count other than child.num_states ** 2 raises ArityMismatch.
+        """
+        numbers, keys = first_occurrence(cells)
+        side = child.num_states
+        rows = [numbers[i:i + side] for i in range(0, len(numbers), side)]
+        return self.intern_layer(child, rows), keys
 
 
 @dataclass(frozen=True)

@@ -193,16 +193,13 @@ def _product_stack(a, b, dead_a, dead_b) -> tuple[Layer, tuple[TripleSum, ...]]:
             for left in child_sums
             for right in child_sums
         )
-    index: dict[TripleSum, int] = {}
-    states = []
+    sums = []
     for cell in cells:
         live = [t for t in cell if t[0] not in dead_a and t[1] not in dead_b]
         # a sum of at most one triple is already canonical
         s = tuple(live) if len(live) < 2 else merge_triples(live)
-        states.append(index.setdefault(mgr.triple_sums.setdefault(s, s), len(index)))
-    side = child.num_states
-    rows = [states[i:i + side] for i in range(0, len(states), side)]
-    return mgr.intern_layer(child, rows), tuple(index)
+        sums.append(mgr.triple_sums.setdefault(s, s))
+    return mgr.intern_cells(child, sums)
 
 
 def matmul(a: MatrixTidd, b: MatrixTidd) -> MatrixTidd:

@@ -168,13 +168,8 @@ def dense_kron(a: DenseFunction, b: DenseFunction) -> DenseFunction:
     """Textbook tensor product: outputs indexed by the concatenated assignment."""
     if a.level != b.level:
         raise ShapeMismatch(f"levels {a.level} and {b.level}")
-    bits_b = 1 << b.level
-    outputs = []
-    for x in a.outputs:
-        for y in b.outputs:
-            outputs.append(x * y)
-    assert len(outputs) == 1 << (bits_b * 2)
-    return DenseFunction(a.level + 1, tuple(outputs))
+    _dense_size(a.level + 1)  # the dense cap, checked before any entry is computed
+    return DenseFunction(a.level + 1, tuple(x * y for x in a.outputs for y in b.outputs))
 
 
 # ---------------------------------------------------------------------------

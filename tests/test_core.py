@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import chain
 from random import Random
 
 import pytest
@@ -21,6 +22,7 @@ from tidd import (
     total_states,
     validate,
 )
+from tidd.core import first_occurrence
 from tidd.linalg import MatrixTidd
 from tidd.errors import (
     ArityMismatch,
@@ -28,7 +30,7 @@ from tidd.errors import (
     CanonicalOrderViolation,
 )
 
-from helpers import bits_of, random_truth_table
+from helpers import bits_of, random_raw_table, random_truth_table
 
 
 def test_interning_idempotent(mgr):
@@ -70,6 +72,50 @@ def test_intern_rejects_noncanonical(mgr):
 def test_intern_rejects_arity_mismatch(mgr):
     with pytest.raises(ArityMismatch):
         mgr.intern_layer(mgr.dontcare(), ((0, 0), (0, 1)))
+
+
+def test_first_occurrence_example():
+    numbers, keys = first_occurrence(chain.from_iterable(((1, 1), (1, 0))))
+    assert numbers == (0, 0, 0, 1)
+    assert keys == (1, 0)
+
+
+def test_first_occurrence_identity_on_canonical():
+    numbers, keys = first_occurrence(chain.from_iterable(((0, 0), (0, 1))))
+    assert numbers == (0, 0, 0, 1)
+    assert keys == (0, 1)
+
+
+def test_first_occurrence_idempotent_random():
+    rng = Random(4)
+    for _ in range(1000):
+        side = rng.randint(1, 5)
+        parents = rng.randint(1, side * side)
+        raw = random_raw_table(rng, side, parents)
+        once, _ = first_occurrence(chain.from_iterable(raw))
+        twice, keys = first_occurrence(once)
+        assert twice == once
+        assert keys == tuple(range(parents))
+
+
+def test_first_occurrence_leftmost_values():
+    v1, v2 = Value(1, 0), Value(2, 0)
+    classes, values = first_occurrence((v1, v2, v1))
+    assert classes == (0, 1, 0)
+    assert values == (v1, v2)
+
+
+def test_intern_cells_numbers_cells_canonically(mgr):
+    layer, keys = mgr.intern_cells(mgr.fork(), ("b", "a", "b", "b"))
+    assert layer.table == ((0, 1), (0, 0))
+    assert keys == ("b", "a")
+    assert layer is mgr.intern_layer(mgr.fork(), ((0, 1), (0, 0)))
+
+
+def test_intern_cells_rejects_a_wrong_cell_count(mgr):
+    for cells in ((), ("a",) * 3, ("a",) * 5):
+        with pytest.raises(ArityMismatch):
+            mgr.intern_cells(mgr.fork(), cells)
 
 
 def test_evaluate_hadamard_examples(mgr):

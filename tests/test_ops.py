@@ -8,6 +8,7 @@ from tidd import (
     OR,
     PLUS,
     TIMES,
+    Tidd,
     Value,
     XOR,
     apply,
@@ -21,47 +22,18 @@ from tidd import (
     scalar_multiply,
     validate,
 )
+from tidd.core import first_occurrence
 from tidd.errors import LevelMismatch, ValueDomainError
-from tidd.ops import (
-    canonical_renumber,
-    canonical_tidd,
-    pair_product,
-    reduce_stack,
-    reduce_tidd,
-    top_classes_from_values,
-)
+from tidd.ops import canonical_tidd, pair_product, reduce_stack, reduce_tidd
 from tidd.oracle import (
     dense_apply,
     dense_from_tidd,
     dense_kron,
+    exhaustive_equiv,
     random_equivalence_case,
 )
 
 from helpers import random_raw_table, random_truth_table
-
-
-def test_canonical_renumber_example():
-    table, perm = canonical_renumber(((1, 1), (1, 0)))
-    assert table == ((0, 0), (0, 1))
-    assert perm == (1, 0)
-
-
-def test_canonical_renumber_identity_on_canonical():
-    table, perm = canonical_renumber(((0, 0), (0, 1)))
-    assert table == ((0, 0), (0, 1))
-    assert perm == (0, 1)
-
-
-def test_canonical_renumber_idempotent_random():
-    rng = Random(4)
-    for _ in range(1000):
-        side = rng.randint(1, 5)
-        parents = rng.randint(1, side * side)
-        raw = random_raw_table(rng, side, parents)
-        once, _ = canonical_renumber(raw)
-        twice, perm = canonical_renumber(once)
-        assert twice == once
-        assert perm == tuple(range(len(perm)))
 
 
 def test_pair_product_level0_table(mgr):
@@ -116,13 +88,6 @@ def test_pair_product_level_mismatch(mgr):
         pair_product(hadamard_family(mgr, 1).top, hadamard_family(mgr, 2).top)
 
 
-def test_top_classes_leftmost():
-    v1, v2 = Value(1, 0), Value(2, 0)
-    classes, values = top_classes_from_values((v1, v2, v1))
-    assert classes == (0, 1, 0)
-    assert values == (v1, v2)
-
-
 def test_reduce_idempotent_on_canonical(mgr):
     for f in (
         hadamard_family(mgr, 3),
@@ -148,7 +113,7 @@ def test_reduce_stack_keeps_a_minimal_stack(mgr, monkeypatch):
 
     monkeypatch.setattr(mgr, "intern_layer", no_intern)
     for f in fs:
-        classes, _ = top_classes_from_values(f.values)
+        classes, _ = first_occurrence(f.values)
         top, maps = reduce_stack(f.top, classes)
         assert top is f.top
         assert maps == [tuple(range(layer.num_states)) for layer in f.top.stack()]
@@ -169,6 +134,39 @@ def test_reduce_output_validates_random(mgr):
         assert validate(f).ok
         g = reduce_tidd(f)
         assert g.top is f.top and g.values == f.values
+
+
+def _raw_canonical_stack(mgr, rng, level):
+    """A random stack of canonical tables, usually not minimal."""
+    layer = rng.choice((mgr.fork(), mgr.dontcare()))
+    for _ in range(level):
+        side = layer.num_states
+        raw = random_raw_table(rng, side, rng.randint(1, min(side * side, 6)))
+        layer, _ = mgr.intern_cells(layer, [e for row in raw for e in row])
+    return layer
+
+
+def test_reduce_raw_canonical_stacks_random(mgr):
+    rng = Random(11)
+    for _ in range(300):
+        top = _raw_canonical_stack(mgr, rng, rng.randint(1, 3))
+        raw_values = [Value(rng.randint(0, 2), 0) for _ in range(top.num_states)]
+        f = canonical_tidd(top, raw_values)
+        assert validate(f).ok
+        assert exhaustive_equiv(f, dense_from_tidd(Tidd(top, tuple(raw_values))))
+
+        classes, _ = first_occurrence(raw_values)
+        new_top, maps = reduce_stack(top, classes)
+        assert new_top is f.top
+        assert maps[-1] == classes
+        for new, m in zip(new_top.stack(), maps):
+            assert first_occurrence(m)[0] == m  # numbered by first occurrence
+            assert len(set(m)) == new.num_states
+        for old, new, below, m in zip(top.stack()[1:], new_top.stack()[1:], maps, maps[1:]):
+            # the maps carry every old transition onto the new table
+            for j, row in enumerate(old.table):
+                for k, e in enumerate(row):
+                    assert new.table[below[j]][below[k]] == m[e]
 
 
 def test_apply_and_projections(mgr):

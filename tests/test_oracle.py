@@ -26,6 +26,7 @@ from tidd.errors import (
 )
 from tidd.oracle import (
     _BOOL_OPS,
+    DenseFunction,
     anti_diagonal_row_classes,
     class_count_at_level,
     class_counts,
@@ -227,6 +228,16 @@ def test_dense_kron_shapes(mgr):
     k = dense_kron(a, a)
     assert k.level == 2
     assert k.outputs == dense_from_tidd(hadamard_family(mgr, 2)).outputs
+
+
+def test_dense_kron_checks_the_cap_before_multiplying():
+    class NoProduct:
+        def __mul__(self, other):
+            raise AssertionError("multiplied before the dense cap was checked")
+
+    a = DenseFunction(4, (NoProduct(),) * 65536)  # 16 variables, at the cap
+    with pytest.raises(OracleScaleLimit):
+        dense_kron(a, a)
 
 
 def test_dense_shape_mismatch():
