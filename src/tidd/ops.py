@@ -10,6 +10,10 @@ classes at level i are fully determined by the classes at level i+1 (every
 context of a level-i state factors through level i+1), so no fixpoint
 iteration is needed.  Products and reduction number states only through
 ``core.first_occurrence``; the bottom-up rebuild needs no renumbering.
+
+A tensor product is a pair product under one fixed top table.  With one
+table per level shared by every block position, each lower level must pair
+the two operands' states; that pairing is the price of hierarchy alone.
 """
 
 from __future__ import annotations
@@ -144,13 +148,10 @@ def scalar_multiply(c: Value | int, f: Tidd) -> Tidd:
 def kronecker(a: Tidd, b: Tidd) -> Tidd:
     """Tensor product: the result evaluates on w||w' to a(w) * b(w').
 
-    Both operands are lifted one level: ``a`` onto the left half (a top table
-    ``[q][q'] = q`` that reads only the left child) and ``b`` onto the right
-    half (``[p][p'] = p'``).  Both lifted tables are canonical and keep the
-    operands' values, and the tensor product is their pointwise product, so
-    a miss runs the uncached ``apply`` body on them.  The result is memoized
-    in ``kron_cache`` only; the lifted operands are fixed by ``(a, b)``, so
-    an ``apply_cache`` entry would never be read.
+    The levels below the top are ``pair_product(a.top, b.top)``, whose
+    shared tables track both operands at every block position.  The top
+    table is fixed: cell (c, c') is the pair (a-state of left child state c,
+    b-state of right child state c').  Memoized in ``kron_cache``.
     """
     if a.level != b.level:
         raise LevelMismatch(f"levels {a.level} and {b.level}")
@@ -159,8 +160,6 @@ def kronecker(a: Tidd, b: Tidd) -> Tidd:
 
 
 def _kronecker(a: Tidd, b: Tidd) -> Tidd:
-    mgr = a.manager
-    m, k = a.top.num_states, b.top.num_states
-    left = mgr.intern_layer(a.top, [(q,) * m for q in range(m)])
-    right = mgr.intern_layer(b.top, [tuple(range(k))] * k)
-    return _apply(TIMES, Tidd(left, a.values), Tidd(right, b.values))
+    child, meta = pair_product(a.top, b.top)
+    top, cells = a.manager.intern_cells(child, ((q, p) for q, _ in meta for _, p in meta))
+    return canonical_tidd(top, [a.values[q] * b.values[p] for q, p in cells])

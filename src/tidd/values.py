@@ -37,7 +37,7 @@ class Value:
         if k == 0:
             return
         if k < 0:
-            raise ValueError(f"denominator exponent must be >= 0, got {k}")
+            raise ValueDomainError(f"denominator exponent must be >= 0, got {k}")
         a, b = self.a, self.b
         both = a | b
         if both == 0:

@@ -22,7 +22,7 @@ from tidd import (
     total_states,
     validate,
 )
-from tidd.core import first_occurrence
+from tidd.core import Layer, first_occurrence
 from tidd.linalg import MatrixTidd
 from tidd.errors import (
     ArityMismatch,
@@ -183,6 +183,30 @@ def test_validate_indistinguishable_states(mgr):
     assert not report.ok
     assert "2(v)" in report.constraint
     assert report.location == "level 1"
+
+
+@pytest.mark.parametrize(
+    "table, num_states, constraint",
+    [
+        (((0,), (0,)), 1, "arity"),
+        (((0, 0, 0), (0, 1, 0)), 2, "arity"),
+        (((0, 1), (1, 2)), 2, "totality"),
+        (((0, -1), (1, 0)), 2, "totality"),
+        (((1, 0), (0, 1)), 2, "2(iii) canonical order"),
+        (((0, 2), (1, 0)), 3, "2(iii) canonical order"),
+        (((0, 1), (1, 0)), 3, "state count"),
+    ],
+)
+def test_validate_reports_a_bad_layer(mgr, table, num_states, constraint):
+    # a hand-built layer over the two-state level-1 layer of H_1 skips the
+    # checks that intern_layer makes
+    child = hadamard_family(mgr, 1).top
+    assert child.num_states == 2
+    bad = Layer(mgr, 2, child, table, num_states)
+    report = validate(Tidd(bad, tuple(Value(v, 0) for v in range(num_states))))
+    assert not report.ok
+    assert report.constraint == constraint
+    assert report.location == "level 2"
 
 
 def test_size_metrics_constant(mgr):

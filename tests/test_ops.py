@@ -292,6 +292,60 @@ def test_kronecker_matches_dense(mgr):
         assert got.outputs == expected.outputs
 
 
+def lifted_kronecker(a, b):
+    """The tensor product as ``apply(TIMES, ...)`` over lifted operands.
+
+    ``a`` is lifted one level onto the left half (a top table
+    ``[q][q'] = q``) and ``b`` onto the right half (``[p][p'] = p'``).
+    """
+    mgr = a.manager
+    m, k = a.top.num_states, b.top.num_states
+    left = mgr.intern_layer(a.top, [(q,) * m for q in range(m)])
+    right = mgr.intern_layer(b.top, [tuple(range(k))] * k)
+    return apply(TIMES, Tidd(left, a.values), Tidd(right, b.values))
+
+
+def test_kronecker_equals_apply_over_lifted_operands(mgr):
+    rng = Random(14)
+    pairs = []
+    for level in range(4):
+        for _ in range(4):
+            a = from_truth_table(mgr, level, random_truth_table(rng, level))
+            b = from_truth_table(mgr, level, random_truth_table(rng, level))
+            pairs.append((a, b))
+        # a DontCare constant on either side, and on both
+        c = constant(mgr, level, 3)
+        f = from_truth_table(mgr, level, random_truth_table(rng, level))
+        pairs += [(c, f), (f, c), (c, constant(mgr, level, -1))]
+    # operands with different top state counts
+    four = from_truth_table(mgr, 1, [0, 1, 2, -1])
+    pairs += [(hadamard_family(mgr, 1), four), (four, equality_relation(mgr, 1))]
+    # past the dense cap: the results read 32 and 64 variables
+    for level in (4, 5):
+        h, eq = hadamard_family(mgr, level), equality_relation(mgr, level)
+        proj = projection(mgr, level, 3)
+        pairs += [(h, eq), (eq, proj), (proj, h), (h, h)]
+    assert any(a.top.num_states != b.top.num_states for a, b in pairs)
+    for a, b in pairs:
+        assert kronecker(a, b) == lifted_kronecker(a, b)
+
+
+def test_kronecker_miss_interns_only_what_it_uses(mgr):
+    a = hadamard_family(mgr, 2)
+    b = equality_relation(mgr, 2)
+    child, _ = pair_product(a.top, b.top)
+    pairs = len(mgr.pair_cache)
+    before = set(map(id, mgr._layers.values()))
+    result = kronecker(a, b)
+    assert len(mgr.pair_cache) == pairs
+    on_stack = set(map(id, result.top.stack()))
+    new = [layer for layer in mgr._layers.values() if id(layer) not in before]
+    # besides the result's stack, only the unreduced top over the pair product
+    unreduced = [layer for layer in new if id(layer) not in on_stack]
+    assert len(unreduced) <= 1
+    assert all(layer.child is child for layer in unreduced)
+
+
 def test_kronecker_level_mismatch(mgr):
     with pytest.raises(LevelMismatch):
         kronecker(constant(mgr, 1, 1), constant(mgr, 2, 1))

@@ -41,7 +41,7 @@ def test_zero_is_unique():
 
 
 def test_negative_k_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueDomainError):
         Value(1, 0, -1)
 
 
