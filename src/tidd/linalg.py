@@ -10,11 +10,11 @@ that is only logarithmic in state count.
 Matrix multiplication runs bottom-up over the two operand stacks.  A product
 state at each level is a formal sum of weighted triples (q, p, w): operand
 states q and p reached on the row/inner and inner/column halves of a block,
-with w counting the inner-index bit patterns that realize the pair.  Triples
-with equal state pairs merge by adding weights; a formal sum is canonical
-when its (q, p) pairs are strictly increasing.  Above level 1, the cell for
-a (left, right) pair of child sums merges (ta[qa][qb], tb[pa][pb], wa * wb)
-over every pair of their triples.
+with w counting the inner-index bit patterns that realize the pair.  A cell
+has one triple per inner bit at level 1, and above one (ta[qa][qb],
+tb[pa][pb], wa * wb) per pair of triples of its (left, right) child sums.
+A cell's sum is its live triples (below), sorted, with the weights of equal
+pairs added: its (q, p) pairs strictly increase, which makes it canonical.
 
 An operand state is dead when every context of it reaches a top value of 0.
 Dead states are found top-down: a top state is dead when its value is 0, a
@@ -129,12 +129,13 @@ def vector_from_basis_state(mgr: Manager, qubits: int, bits) -> VectorTidd:
 # weighted-triple matrix multiplication
 
 def merge_triples(triples) -> TripleSum:
-    """Canonicalize a collection of (q, p, w): merge equal pairs, sort pairs."""
-    acc: dict[tuple[int, int], int] = {}
-    for q, p, w in triples:
-        key = (q, p)
-        acc[key] = acc.get(key, 0) + w
-    return tuple((q, p, w) for (q, p), w in sorted(acc.items()))
+    """Canonicalize a collection of (q, p, w): sort, then add equal pairs' weights."""
+    merged: list[tuple[int, int, int]] = []
+    for q, p, w in sorted(triples):
+        if merged and merged[-1][0] == q and merged[-1][1] == p:
+            w += merged.pop()[2]
+        merged.append((q, p, w))
+    return tuple(merged)
 
 
 def _dead_top(f: Tidd) -> tuple[int, ...]:
@@ -174,13 +175,15 @@ def _matmul_stack(
 def _product_stack(a, b, dead_a, dead_b) -> tuple[Layer, tuple[TripleSum, ...]]:
     mgr = a.manager
     ta, tb = a.table, b.table
+    # a cell lists its live triples; ``for q, p in [...]`` binds a triple's states
     if a.level == 1:
         # the level-0 states bits 0 and 1 reach; a DontCare's one state serves both
         sa = (0, a.child.num_states - 1)
         sb = (0, b.child.num_states - 1)
         child = mgr.fork()
         cells = (
-            [(ta[sa[i]][sa[k]], tb[sb[k]][sb[j]], 1) for k in range(2)]
+            [(q, p, 1) for k in range(2) for q, p in [(ta[sa[i]][sa[k]], tb[sb[k]][sb[j]])]
+             if q not in dead_a and p not in dead_b]
             for i in range(2)
             for j in range(2)
         )
@@ -189,17 +192,13 @@ def _product_stack(a, b, dead_a, dead_b) -> tuple[Layer, tuple[TripleSum, ...]]:
             a.child, b.child, _dead_below(a, dead_a), _dead_below(b, dead_b), MATMUL_STACK
         )
         cells = (
-            [(ta[qa][qb], tb[pa][pb], wa * wb) for qa, pa, wa in left for qb, pb, wb in right]
+            [(q, p, wa * wb) for qa, pa, wa in left for qb, pb, wb in right
+             for q, p in [(ta[qa][qb], tb[pa][pb])] if q not in dead_a and p not in dead_b]
             for left in child_sums
             for right in child_sums
         )
-    sums = []
-    for cell in cells:
-        live = [t for t in cell if t[0] not in dead_a and t[1] not in dead_b]
-        # a sum of at most one triple is already canonical
-        s = tuple(live) if len(live) < 2 else merge_triples(live)
-        sums.append(mgr.triple_sums.setdefault(s, s))
-    return mgr.intern_cells(child, sums)
+    layer, keys = mgr.intern_cells(child, (merge_triples(cell) for cell in cells))
+    return layer, tuple(mgr.triple_sums.setdefault(s, s) for s in keys)
 
 
 def matmul(a: MatrixTidd, b: MatrixTidd) -> MatrixTidd:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .core import APPLY, KRONECKER, PAIR_PRODUCT, Layer, Tidd, first_occurrence
 from .errors import LevelMismatch
-from .values import BinaryOp, TIMES, Value, as_value
+from .values import BinaryOp, Value, as_value
 
 PairMeta = tuple[tuple[int, int], ...]
 
@@ -139,10 +139,9 @@ def _apply(op: BinaryOp, f: Tidd, g: Tidd) -> Tidd:
 
 
 def scalar_multiply(c: Value | int, f: Tidd) -> Tidd:
-    """Multiply every value by the scalar c (constant diagram times f)."""
-    from .builders import constant
-
-    return apply(TIMES, f, constant(f.manager, f.level, as_value(c)))
+    """Multiply every value by the scalar c: f's stack, reduced under new values."""
+    c = as_value(c)
+    return canonical_tidd(f.top, [v * c for v in f.values])
 
 
 def kronecker(a: Tidd, b: Tidd) -> Tidd:

@@ -148,12 +148,14 @@ SQRT2_HALF = Value(0, 1, 1)  # 1/sqrt(2), the Hadamard amplitude
 
 
 def as_value(x: Value | bool | int) -> Value:
-    """Coerce a boolean or integer into the ring; Values pass through."""
+    """Coerce a boolean or integer into the ring; a Value passes through only
+    when its fields are exactly ints, which its construction does not check."""
     if isinstance(x, Value):
-        return x
-    if isinstance(x, bool):
+        if type(x.a) is int and type(x.b) is int and type(x.k) is int:
+            return x
+    elif isinstance(x, bool):
         return Value.from_bool(x)
-    if isinstance(x, int):
+    elif isinstance(x, int):
         return Value.from_int(x)
     raise ValueDomainError(f"cannot interpret {x!r} as a ring value")
 

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from tidd import builders, errors
+from tidd import Value, apply, builders, errors
 from tidd.bench import GateSpec, measure_distribution
 from tidd.builders import (
     constant,
@@ -28,14 +28,21 @@ from tidd.oracle import (
     DenseFunction,
     class_count_at_level,
     dense_constant,
+    dense_function,
     dense_projection,
     run_equivalence_suite,
 )
+from tidd.values import BinaryOp
 
 
 def _shots(mgr, shots):
     state = vector_from_basis_state(mgr, 2, (0, 0))
     return measure_distribution(state, shots, Random(0))
+
+
+def _apply_half(mgr):
+    half = BinaryOp("half", lambda u, v: Value(0.5, 0, 0))
+    return apply(half, constant(mgr, 1, 1), constant(mgr, 1, 1))
 
 
 def _class_count(level):
@@ -53,6 +60,15 @@ BAD_ARGUMENTS = [
     ("zero shots", lambda m: _shots(m, 0), IndexOutOfRange),
     ("truth table of text", lambda m: from_truth_table(m, 1, "abcd"), ValueDomainError),
     ("constant 1.5", lambda m: constant(m, 2, 1.5), ValueDomainError),
+    ("constant Value(1.5, 0, 0)", lambda m: constant(m, 2, Value(1.5, 0, 0)), ValueDomainError),
+    ("constant Value(True, 0, 0)", lambda m: constant(m, 0, Value(True, 0, 0)), ValueDomainError),
+    ("truth table of Value(1, 0, 0.5)",
+     lambda m: from_truth_table(m, 1, [Value(1, 0, 0.5)] * 4), ValueDomainError),
+    ("apply returning Value(0.5, 0, 0)", _apply_half, ValueDomainError),
+    ("dense constant Value(1.5, 0, 0)",
+     lambda m: dense_constant(1, Value(1.5, 0, 0)), ValueDomainError),
+    ("dense table of Value(1, 0.5, 0)",
+     lambda m: dense_function(1, [Value(1, 0.5, 0)] * 4), ValueDomainError),
     ("6-variable suite", lambda m: run_equivalence_suite(m, 6, 1, 0), NotPowerOfTwo),
     ("dense table level -1", lambda m: DenseFunction(-1, ()), IndexOutOfRange),
     ("dense constant level -1", lambda m: dense_constant(-1, 1), IndexOutOfRange),

@@ -22,7 +22,7 @@ from tidd import (
     scalar_multiply,
     vector_from_basis_state,
 )
-from tidd.bench import bv_circuit, bv_secret, gate_matrix, ghz_circuit
+from tidd.bench import bv_circuit, bv_secret, gate_matrix, ghz_circuit, run_benchmark
 from tidd.builders import constant, from_truth_table
 from tidd.core import MATMUL_STACK
 from tidd.errors import OracleScaleLimit, ShapeMismatch
@@ -41,7 +41,13 @@ from tidd.linalg import (
 from tidd.oracle import dense_from_tidd, dense_matmul, dense_to_matrix
 from tidd.values import SQRT2_HALF
 
-from helpers import bits_of, matrix_assignment, random_truth_table, reference_product_stack
+from helpers import (
+    _merged_sum,
+    bits_of,
+    matrix_assignment,
+    random_truth_table,
+    reference_product_stack,
+)
 
 
 def random_matrix(mgr, rng, qubits):
@@ -293,12 +299,26 @@ def test_merge_triples_canonical():
 
 def test_merge_triples_order_independent():
     rng = Random(31)
-    base = [(rng.randrange(3), rng.randrange(3), rng.randint(1, 5)) for _ in range(12)]
-    reference = merge_triples(base)
-    for _ in range(20):
-        shuffled = base[:]
-        rng.shuffle(shuffled)
-        assert merge_triples(shuffled) == reference
+    for size in range(13):
+        # three states per side force repeated pairs; weights reach past 2**64
+        base = [
+            (rng.randrange(3), rng.randrange(3), rng.randint(1, 5) << rng.choice((0, 64, 100)))
+            for _ in range(size)
+        ]
+        reference = _merged_sum(base)
+        for _ in range(10):
+            shuffled = base[:]
+            rng.shuffle(shuffled)
+            assert merge_triples(shuffled) == reference
+            assert merge_triples(iter(shuffled)) == reference
+
+
+def test_triple_sums_hold_the_stored_sums_once(mgr):
+    run_benchmark(mgr, "bv", 16, 0)
+    run_benchmark(mgr, "ghz", 64, 0)
+    stored = [s for _, sums in mgr.matmul_cache.values() for s in sums]
+    assert set(mgr.triple_sums) == set(stored)
+    assert all(mgr.triple_sums[s] is s for s in stored)
 
 
 def test_identity_matrix_is_equality(mgr):

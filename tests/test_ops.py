@@ -32,6 +32,7 @@ from tidd.oracle import (
     exhaustive_equiv,
     random_equivalence_case,
 )
+from tidd.values import SQRT2_HALF
 
 from helpers import random_raw_table, random_truth_table
 
@@ -248,6 +249,29 @@ def test_scalar_multiply(mgr):
         Value(2, 0),
         Value(-2, 0),
     ]
+
+
+SCALARS = (0, 1, -1, 2, SQRT2_HALF)
+
+
+def test_scalar_multiply_equals_times_a_constant(mgr):
+    rng = Random(17)
+    operands = [from_truth_table(mgr, level, random_truth_table(rng, level))
+                for level in (0, 1, 2, 3) for _ in range(4)]
+    operands += [hadamard_family(mgr, 5), equality_relation(mgr, 5)]
+    for f in operands:
+        for c in SCALARS:
+            scaled = scalar_multiply(c, f)
+            expected = apply(TIMES, f, constant(mgr, f.level, c))
+            assert scaled.top is expected.top and scaled.values == expected.values
+
+
+def test_scalar_multiply_adds_no_cache_entry(mgr):
+    f = hadamard_family(mgr, 3)
+    for c in SCALARS:
+        before = len(mgr.apply_cache), len(mgr.pair_cache)
+        scalar_multiply(c, f)
+        assert (len(mgr.apply_cache), len(mgr.pair_cache)) == before
 
 
 def test_kronecker_hadamard(mgr):

@@ -56,6 +56,17 @@ def test_boolean_and_int_conventions():
     assert as_value(True) == as_value(1)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [Value(1.5, 0, 0), Value(1, 0.0, 0), Value(1, 0, 0.5), Value(True, 0, 0),
+     Value(1, False, 0), Value("1", 0, 0)],
+    ids=lambda v: f"Value({v.a!r}, {v.b!r}, {v.k!r})",
+)
+def test_as_value_rejects_fields_outside_the_integers(value):
+    with pytest.raises(ValueDomainError, match="ring value"):
+        as_value(value)
+
+
 def test_arithmetic():
     half = Value(1, 0, 1)
     assert half + half == Value(1, 0, 0)
