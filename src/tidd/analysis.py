@@ -40,7 +40,7 @@ def layer_index(top: Layer) -> LayerIndex:
     """Path counts per level and the incoming index of every level (level 0
     first, holding no transitions), cached on the manager."""
     mgr = top.manager
-    return mgr.memo(mgr.path_count_cache, top, PATH_COUNTS, _index, top)
+    return mgr.memo(PATH_COUNTS, top, _index, top)
 
 
 def _index(top: Layer) -> LayerIndex:

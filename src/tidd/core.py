@@ -102,27 +102,19 @@ def check_canonical_order(table: Table) -> int:
     return next_new
 
 
-# The (hits, misses) keys of Manager.stats that Manager.memo counts each
-# operation-cache read under.  MATMUL and MATMUL_STACK both read matmul_cache:
-# a matmul call's top layer pair, and the child pairs of the product stack
-# below it.
+# One counter per cached operation: the (hits, misses) keys of Manager.stats
+# that Manager.memo counts each read under, and the Manager cache it reads.
+# MATMUL and MATMUL_STACK both read matmul_cache: a matmul call's top layer
+# pair, and the child pairs of the product stack below it.
 COUNTERS = tuple(
-    (f"{name}_hits", f"{name}_misses")
-    for name in (
-        "pair_product", "apply", "kronecker", "matmul", "matmul_stack", "path_counts",
+    (f"{name}_hits", f"{name}_misses", cache)
+    for name, cache in (
+        ("pair_product", "pair_cache"), ("apply", "apply_cache"),
+        ("kronecker", "kron_cache"), ("matmul", "matmul_cache"),
+        ("matmul_stack", "matmul_cache"), ("path_counts", "path_count_cache"),
     )
 )
 PAIR_PRODUCT, APPLY, KRONECKER, MATMUL, MATMUL_STACK, PATH_COUNTS = COUNTERS
-
-# The Manager operation cache that each counter's reads go to.
-CACHE_OF = {
-    PAIR_PRODUCT: "pair_cache",
-    APPLY: "apply_cache",
-    KRONECKER: "kron_cache",
-    MATMUL: "matmul_cache",
-    MATMUL_STACK: "matmul_cache",
-    PATH_COUNTS: "path_count_cache",
-}
 
 
 class Manager:
@@ -141,14 +133,16 @@ class Manager:
         self.matmul_cache: dict = {}
         self.triple_sums: dict = {}
         self.path_count_cache: dict = {}
-        self.stats = {key: 0 for counter in COUNTERS for key in counter}
+        self.stats = {key: 0 for counter in COUNTERS for key in counter[:2]}
 
-    def memo(self, cache: dict, key, counter: tuple[str, str], compute, *args):
-        """``cache[key]``, or ``compute(*args)`` stored under ``key``.
+    def memo(self, counter: tuple[str, str, str], key, compute, *args):
+        """The cached result for ``key``, or ``compute(*args)`` stored under it.
 
-        Each read adds one hit or one miss to ``stats`` under ``counter``
-        (hits key, misses key).  No cached result is None.
+        ``counter`` is one of ``COUNTERS`` (hits key, misses key, cache name);
+        each read adds one hit or one miss to ``stats``.  The key must hold
+        everything the result depends on, and no result is None.
         """
+        cache = getattr(self, counter[2])
         hit = cache.get(key)
         self.stats[counter[hit is None]] += 1
         if hit is None:
@@ -159,18 +153,24 @@ class Manager:
         """One entry per interning table and operation cache, as plain dicts.
 
         Each entry holds the table's ``size``.  An operation cache also holds
-        the ``stats`` hits and misses of every counter that reads it (see
-        ``CACHE_OF``); ``_layers`` and ``triple_sums`` report their size only.
+        the ``stats`` hits and misses of every counter in ``COUNTERS`` that
+        reads it; ``_layers`` and ``triple_sums`` report their size only.
         """
         out = {
             name: {"size": len(table)}
             for name, table in vars(self).items()
             if isinstance(table, dict) and table is not self.stats
         }
-        for counter, name in CACHE_OF.items():
-            for key in counter:
-                out[name][key] = self.stats[key]
+        for hits, misses, name in COUNTERS:
+            out[name][hits] = self.stats[hits]
+            out[name][misses] = self.stats[misses]
         return out
+
+    def clear_caches(self) -> None:
+        """Empty every operation cache and ``triple_sums``; layers stay interned."""
+        for counter in COUNTERS:
+            getattr(self, counter[2]).clear()
+        self.triple_sums.clear()
 
     def fork(self) -> Layer:
         return self._fork

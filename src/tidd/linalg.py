@@ -89,16 +89,16 @@ def qubit_sum(mgr: Manager, qubits: int, terms, blank: tuple) -> MatrixTidd:
     ``qubits`` takes the 2x2 ``blank``.  A product is a balanced tensor fold in
     which a factor-free span of 2**k qubits is the blank's 2**k-fold power, so
     a fold over few factors costs O(log n) tensor products rather than O(n).
-    The powers, and one table per entries object, are built once per call.
+    The powers are built once per call.
     """
     require_power_of_two(qubits, 1, "qubit count")
     powers = [from_truth_table(mgr, 1, blank)]  # entry k: the 2**k-fold power
     while 1 << (len(powers) - 1) < qubits:
         powers.append(kronecker(powers[-1], powers[-1]))
-    distinct = {id(e): e for t in terms for e in t.values()}  # by id: Value hashes are slow
-    tables = {i: from_truth_table(mgr, 1, e) for i, e in distinct.items()}
-    products = (_fold({q: tables[id(e)] for q, e in t.items()}, 0, qubits, powers)
-                for t in terms)
+    products = (
+        _fold({q: from_truth_table(mgr, 1, e) for q, e in t.items()}, 0, qubits, powers)
+        for t in terms
+    )
     return MatrixTidd(reduce(partial(apply, PLUS), products), qubits)
 
 
@@ -169,7 +169,7 @@ def _matmul_stack(
     """
     mgr = a.manager
     key = (a, b, dead_a, dead_b)
-    return mgr.memo(mgr.matmul_cache, key, counter, _product_stack, *key)
+    return mgr.memo(counter, key, _product_stack, *key)
 
 
 def _product_stack(a, b, dead_a, dead_b) -> tuple[Layer, tuple[TripleSum, ...]]:

@@ -39,7 +39,7 @@ def pair_product(a: Layer, b: Layer) -> tuple[Layer, PairMeta]:
     if a.level != b.level:
         raise LevelMismatch(f"levels {a.level} and {b.level}")
     mgr = a.manager
-    return mgr.memo(mgr.pair_cache, (a, b), PAIR_PRODUCT, _pair_product, a, b)
+    return mgr.memo(PAIR_PRODUCT, (a, b), _pair_product, a, b)
 
 
 def _pair_product(a: Layer, b: Layer) -> tuple[Layer, PairMeta]:
@@ -130,7 +130,7 @@ def apply(op: BinaryOp, f: Tidd, g: Tidd) -> Tidd:
     if f.level != g.level:
         raise LevelMismatch(f"levels {f.level} and {g.level}")
     mgr = f.manager
-    return mgr.memo(mgr.apply_cache, (op.name, f, g), APPLY, _apply, op, f, g)
+    return mgr.memo(APPLY, (op, f, g), _apply, op, f, g)
 
 
 def _apply(op: BinaryOp, f: Tidd, g: Tidd) -> Tidd:
@@ -155,7 +155,7 @@ def kronecker(a: Tidd, b: Tidd) -> Tidd:
     if a.level != b.level:
         raise LevelMismatch(f"levels {a.level} and {b.level}")
     mgr = a.manager
-    return mgr.memo(mgr.kron_cache, (a, b), KRONECKER, _kronecker, a, b)
+    return mgr.memo(KRONECKER, (a, b), _kronecker, a, b)
 
 
 def _kronecker(a: Tidd, b: Tidd) -> Tidd:

@@ -103,7 +103,7 @@ def dense_apply(op: BinaryOp, a: DenseFunction, b: DenseFunction) -> DenseFuncti
     memo is keyed on object identities, which stay unique while both operand
     tables are alive, and entries with one key share one result object.  Pairs
     are evaluated in table order, so a failing pair raises as it would
-    entry by entry.
+    entry by entry; a result outside the ring raises as in ``apply``.
     """
     if a.level != b.level:
         raise ShapeMismatch(f"levels {a.level} and {b.level}")
@@ -113,7 +113,7 @@ def dense_apply(op: BinaryOp, a: DenseFunction, b: DenseFunction) -> DenseFuncti
         key = (id(x), id(y))
         z = memo.get(key)
         if z is None:
-            z = memo[key] = op(x, y)
+            z = memo[key] = as_value(op(x, y))
         outputs.append(z)
     return DenseFunction(a.level, tuple(outputs))
 

@@ -169,8 +169,8 @@ def _require_bool(u: Value, v: Value) -> None:
 class BinaryOp:
     """A pointwise binary operation on ring values.
 
-    The name doubles as the memoization key, so user-supplied operations must
-    be pure and uniquely named.
+    ``apply`` memoizes on the operation itself (its name and function), so a
+    user-supplied operation must be pure.
     """
 
     name: str

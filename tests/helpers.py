@@ -44,17 +44,6 @@ def grid_kron(a, b):
     return [[_times(x, y) for x in row_a for y in row_b] for row_a in a for row_b in b]
 
 
-def grid_matmul(a, b):
-    side = len(a)
-    return [
-        [
-            sum((a[r][k] * b[k][c] for k in range(side)), V0)
-            for c in range(side)
-        ]
-        for r in range(side)
-    ]
-
-
 def grid_matvec(a, v):
     side = len(a)
     return [sum((a[r][k] * v[k] for k in range(side)), V0) for r in range(side)]

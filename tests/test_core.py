@@ -22,7 +22,8 @@ from tidd import (
     total_states,
     validate,
 )
-from tidd.core import Layer, first_occurrence
+from tidd.bench import measure_distribution, metrics_fields, run_benchmark
+from tidd.core import COUNTERS, Layer, first_occurrence
 from tidd.linalg import MatrixTidd
 from tidd.errors import (
     ArityMismatch,
@@ -335,3 +336,23 @@ def test_snapshot_reports_every_table_with_its_counters(mgr):
         if misses:
             assert entry["size"] == sum(misses), name
     assert snap["matmul_cache"]["matmul_stack_hits"] > 0
+
+
+def test_clear_caches_empties_them_and_reruns_match(mgr):
+    def run_both():
+        out = []
+        for algo, n in (("ghz", 64), ("bv", 16)):
+            state, metrics = run_benchmark(mgr, algo, n)
+            histogram = measure_distribution(state, 30, Random(n))
+            out.append((dump(state.t.t), metrics_fields(algo, n, 0, metrics)[:-1], histogram))
+        return out
+
+    first = run_both()
+    layers, stats = len(mgr._layers), dict(mgr.stats)
+    cleared = sorted({cache for _, _, cache in COUNTERS} | {"triple_sums"})
+    assert all(getattr(mgr, name) for name in cleared)
+    mgr.clear_caches()
+    assert {name: len(getattr(mgr, name)) for name in cleared} == dict.fromkeys(cleared, 0)
+    assert (len(mgr._layers), mgr.stats) == (layers, stats)
+    assert run_both() == first
+    assert len(mgr._layers) == layers  # the reruns intern no new layer

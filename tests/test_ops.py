@@ -32,7 +32,7 @@ from tidd.oracle import (
     exhaustive_equiv,
     random_equivalence_case,
 )
-from tidd.values import SQRT2_HALF
+from tidd.values import BinaryOp, SQRT2_HALF
 
 from helpers import random_raw_table, random_truth_table
 
@@ -235,6 +235,15 @@ def test_apply_level_mismatch(mgr):
 def test_apply_boolean_op_on_nonboolean(mgr):
     with pytest.raises(ValueDomainError):
         apply(AND, constant(mgr, 1, 2), constant(mgr, 1, 1))
+
+
+def test_apply_memo_tells_same_named_operations_apart(mgr):
+    f, g = constant(mgr, 1, 2), constant(mgr, 1, 3)
+    assert apply(PLUS, f, g).values == (Value(5, 0),)
+    product = BinaryOp("plus", lambda u, v: u * v)  # PLUS's name, another function
+    assert apply(product, f, g).values == (Value(6, 0),)
+    assert apply(PLUS, f, g).values == (Value(5, 0),)
+    assert (mgr.stats["apply_hits"], mgr.stats["apply_misses"]) == (1, 2)
 
 
 def test_scalar_multiply(mgr):

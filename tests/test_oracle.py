@@ -10,6 +10,7 @@ from tidd import (
     Value,
     XOR,
     anti_diagonal,
+    apply,
     constant,
     equality_relation,
     hadamard_family,
@@ -163,6 +164,14 @@ def test_dense_apply_raises_on_the_first_non_boolean_pair():
         dense_apply(AND, a, b)
     assert str(raised.value) == str(reference.value)
     assert "Value(2, 0, 0)" in str(raised.value)
+
+
+def test_dense_apply_rejects_a_result_outside_the_ring(mgr):
+    half = BinaryOp("half", lambda u, v: Value(0.5, 0, 0))
+    with pytest.raises(ValueDomainError):
+        dense_apply(half, dense_constant(1, 1), dense_constant(1, 1))
+    with pytest.raises(ValueDomainError):  # as the diagram side does
+        apply(half, constant(mgr, 1, 1), constant(mgr, 1, 1))
 
 
 def test_dense_matmul_hadamard(mgr):
