@@ -61,7 +61,7 @@ class GateSpec:
         if len(self.targets) != expected:
             raise GateSpecError(f"{self.kind} takes {expected} target(s)")
         for t in self.targets:
-            if not isinstance(t, int) or not 0 <= t < self.qubits:
+            if isinstance(t, bool) or not isinstance(t, int) or not 0 <= t < self.qubits:
                 raise GateSpecError(f"target {t!r} is not in 0..{self.qubits - 1}")
         if len(set(self.targets)) != len(self.targets):
             raise GateSpecError("targets must be distinct")

@@ -13,10 +13,12 @@ layers are the *same* object and semantic equality of whole diagrams reduces
 to a handle comparison plus a value-tuple comparison.
 
 Concurrency: layers and diagrams are immutable and freely shareable between
-threads for reading.  The interning and memo tables live on the manager and
-are not synchronized; mutating operations on one manager must be externally
-serialized.  One manager per process is the default.  Every operation
-cache is read, counted and filled through one method, ``Manager.memo``.
+threads for reading, except that reduction fills in a layer's ``separates``
+once, always with the value its table fixes.  The interning and memo tables
+live on the manager and are not synchronized; mutating operations on one
+manager must be externally serialized.  One manager per process is the
+default.  Every operation cache is read, counted and filled through one
+method, ``Manager.memo``.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ class Layer:
     state b * (num_states - 1): a Fork has two states, a DontCare one.  A
     layer at level >= 1 references its child layer plus a square transition
     table ``table[a][b]`` mapping child-state pairs to parent states, stored
-    row-major in first-occurrence canonical order.
+    row-major in first-occurrence canonical order.  ``separates`` is None, or
+    whether the table separates its child states, once reduction learns it.
     """
 
-    __slots__ = ("manager", "level", "child", "table", "num_states")
+    __slots__ = ("manager", "level", "child", "table", "num_states", "separates")
 
     def __init__(self, manager, level, child, table, num_states):
         self.manager = manager
@@ -51,6 +54,7 @@ class Layer:
         self.child = child          # Layer or None
         self.table = table          # Table or None
         self.num_states = num_states
+        self.separates = None
 
     def is_leaf(self) -> bool:
         return self.level == 0
@@ -112,9 +116,10 @@ COUNTERS = tuple(
         ("pair_product", "pair_cache"), ("apply", "apply_cache"),
         ("kronecker", "kron_cache"), ("matmul", "matmul_cache"),
         ("matmul_stack", "matmul_cache"), ("path_counts", "path_count_cache"),
+        ("span", "span_cache"),
     )
 )
-PAIR_PRODUCT, APPLY, KRONECKER, MATMUL, MATMUL_STACK, PATH_COUNTS = COUNTERS
+PAIR_PRODUCT, APPLY, KRONECKER, MATMUL, MATMUL_STACK, PATH_COUNTS, SPAN = COUNTERS
 
 
 class Manager:
@@ -133,6 +138,7 @@ class Manager:
         self.matmul_cache: dict = {}
         self.triple_sums: dict = {}
         self.path_count_cache: dict = {}
+        self.span_cache: dict = {}
         self.stats = {key: 0 for counter in COUNTERS for key in counter[:2]}
 
     def memo(self, counter: tuple[str, str, str], key, compute, *args):

@@ -37,10 +37,10 @@ from functools import partial, reduce
 
 from .analysis import top_path_counts
 from .builders import equality_relation, from_truth_table
-from .core import MATMUL, MATMUL_STACK, Layer, Manager, Tidd, evaluate
-from .errors import ShapeMismatch, require_dense, require_power_of_two
+from .core import MATMUL, MATMUL_STACK, SPAN, Layer, Manager, Tidd, evaluate
+from .errors import IndexOutOfRange, ShapeMismatch, require_dense, require_power_of_two
 from .ops import apply, canonical_tidd, kronecker
-from .values import PLUS, TIMES, Value, ZERO
+from .values import PLUS, TIMES, Value, ZERO, as_value
 
 TripleSum = tuple[tuple[int, int, int], ...]
 
@@ -86,29 +86,36 @@ def qubit_sum(mgr: Manager, qubits: int, terms, blank: tuple) -> MatrixTidd:
     """The sum over the sequence ``terms`` of one tensor product each.
 
     A term maps qubits to row-major 2x2 entry tuples; each other qubit of the
-    ``qubits`` takes the 2x2 ``blank``.  A product is a balanced tensor fold in
-    which a factor-free span of 2**k qubits is the blank's 2**k-fold power, so
-    a fold over few factors costs O(log n) tensor products rather than O(n).
-    The powers are built once per call.
+    ``qubits`` takes the 2x2 ``blank``.  A product is a balanced tensor fold
+    of spans.  With one table per level shared by every block position, a
+    span's diagram depends on its size, its factors' offsets within it and
+    the blank, not on where it sits: ``span_cache`` holds it under exactly
+    that key, so a fold over few factors costs O(log n) cache reads.
     """
     require_power_of_two(qubits, 1, "qubit count")
-    powers = [from_truth_table(mgr, 1, blank)]  # entry k: the 2**k-fold power
-    while 1 << (len(powers) - 1) < qubits:
-        powers.append(kronecker(powers[-1], powers[-1]))
-    products = (
-        _fold({q: from_truth_table(mgr, 1, e) for q, e in t.items()}, 0, qubits, powers)
-        for t in terms
-    )
+    blank = tuple(map(as_value, blank))
+    products = []
+    for t in terms:
+        if any(not isinstance(q, int) or not 0 <= q < qubits for q in t):
+            raise IndexOutOfRange(f"term qubits {list(t)} are not all in 0..{qubits - 1}")
+        factors = tuple(sorted((q, tuple(map(as_value, e))) for q, e in t.items()))
+        products.append(_span(mgr, qubits, factors, blank))
     return MatrixTidd(reduce(partial(apply, PLUS), products), qubits)
 
 
-def _fold(factors: dict[int, Tidd], lo: int, hi: int, powers: list[Tidd]) -> Tidd:
-    if not any(lo <= q < hi for q in factors):
-        return powers[(hi - lo).bit_length() - 1]
-    if hi - lo == 1:
-        return factors[lo]
-    mid = (lo + hi) // 2
-    return kronecker(_fold(factors, lo, mid, powers), _fold(factors, mid, hi, powers))
+def _span(mgr: Manager, size: int, factors: tuple, blank: tuple) -> Tidd:
+    """The tensor product of ``factors`` (sorted (offset, entries) pairs) over
+    ``size`` qubits, the blank elsewhere; memoized in ``span_cache``."""
+    return mgr.memo(SPAN, (size, factors, blank), _build_span, mgr, size, factors, blank)
+
+
+def _build_span(mgr: Manager, size: int, factors: tuple, blank: tuple) -> Tidd:
+    if size == 1:
+        return from_truth_table(mgr, 1, factors[0][1] if factors else blank)
+    half = size // 2
+    left = tuple(f for f in factors if f[0] < half)
+    right = tuple((q - half, e) for q, e in factors[len(left):])
+    return kronecker(_span(mgr, half, left, blank), _span(mgr, half, right, blank))
 
 
 def vector_from_basis_state(mgr: Manager, qubits: int, bits) -> VectorTidd:

@@ -70,20 +70,27 @@ def reduce_stack(top: Layer, top_classes) -> tuple[Layer, list[tuple[int, ...]]]
     layers = top.stack()
     level = top.level
 
-    # top-down: classes per level, numbered by first occurrence, with the
-    # signature of each class; a level whose classes are all singletons has
-    # the identity as its class map
+    # top-down: classes per level, numbered by first occurrence, and each
+    # state's mapped row; singleton classes make a level's class map the
+    # identity.  Under identity above, the mapped table is the table, whose
+    # classes are singletons iff it separates its child states: learned once.
     class_of: list[tuple[int, ...]] = [()] * (level + 1)
     class_of[level] = tuple(top_classes)
-    signatures: list[tuple] = [()] * level
+    mapped_rows: list = [()] * level
     identity = [False] * (level + 1)
     identity[level] = class_of[level] == tuple(range(top.num_states))
     for i in range(level - 1, -1, -1):
+        above, side = layers[i + 1], layers[i].num_states
+        if identity[i + 1] and above.separates:
+            class_of[i], mapped_rows[i], identity[i] = tuple(range(side)), above.table, True
+            continue
         class_above = class_of[i + 1].__getitem__
-        mapped = [tuple(map(class_above, row)) for row in layers[i + 1].table]
+        mapped = mapped_rows[i] = [tuple(map(class_above, row)) for row in above.table]
         # state q's signature: its mapped row and its mapped column
-        class_of[i], signatures[i] = first_occurrence(zip(mapped, zip(*mapped)))
-        identity[i] = len(signatures[i]) == layers[i].num_states
+        class_of[i], signatures = first_occurrence(zip(mapped, zip(*mapped)))
+        identity[i] = len(signatures) == side
+        if identity[i + 1]:
+            above.separates = identity[i]
 
     # bottom-up rebuild.  New child state C is class C below, and row C of
     # the new table is C's mapped row read at one member of each class: the
@@ -106,7 +113,7 @@ def reduce_stack(top: Layer, top_classes) -> tuple[Layer, list[tuple[int, ...]]]
         else:
             # one member per class, in class order: keys keep first insertion
             members = {c: q for q, c in enumerate(class_of[i - 1])}.values()
-            rows = [tuple(map(row.__getitem__, members)) for row, _ in signatures[i - 1]]
+            rows = [tuple(map(mapped_rows[i - 1][q].__getitem__, members)) for q in members]
             new_layer = mgr.intern_layer(new_layer, rows)
     return new_layer, class_of
 

@@ -70,9 +70,10 @@ def test_gate_targets_must_be_integers(make):
         make()
 
 
-def test_boolean_gate_targets_stay_accepted():
-    assert gate("h", True, 2) == gate("h", 1, 2)
-    assert gate("cnot", (False, True), 2).targets == (0, 1)
+def test_boolean_gate_targets_are_rejected():
+    for make in (lambda: gate("x", True, 4), lambda: gate("cnot", (False, True), 2)):
+        with pytest.raises(GateSpecError):
+            make()
 
 
 def test_single_qubit_gate_dense(mgr):

@@ -278,6 +278,9 @@ def test_every_counter_matches_its_calls(mgr, monkeypatch):
     count(linalg, "matmul", "matmul")
     count(linalg, "_matmul_stack", "matmul_stack")
     count(analysis, "layer_index", "path_counts")
+    count(linalg, "_span", "span")
+    count(linalg, "kronecker", "kronecker")  # qubit_sum's own imports
+    count(linalg, "apply", "apply")
 
     rng = Random(41)
     for level in (1, 2, 3):
@@ -291,6 +294,8 @@ def test_every_counter_matches_its_calls(mgr, monkeypatch):
                     linalg.matmul(m, MatrixTidd(g, m.qubits))
                 analysis.path_counts(f)
                 analysis.sample(ops.apply(TIMES, f, f), rng)
+            terms = [{0: (0, 1, 1, 0)}, {level - 1: (1, 0, 0, -1)}]
+            linalg.qubit_sum(mgr, 1 << level, terms, (1, 0, 0, 1))
     # each matmul call makes one top-pair read of the shared stack cache
     calls["matmul_stack"] -= calls["matmul"]
 
@@ -311,7 +316,7 @@ def test_snapshot_reports_every_table_with_its_counters(mgr):
     snap = mgr.snapshot()
     names = (
         "_layers", "pair_cache", "apply_cache", "kron_cache", "matmul_cache",
-        "triple_sums", "path_count_cache",
+        "triple_sums", "path_count_cache", "span_cache",
     )
     tables = {name: getattr(mgr, name) for name in names}
     assert set(snap) == set(tables)
@@ -336,6 +341,8 @@ def test_snapshot_reports_every_table_with_its_counters(mgr):
         if misses:
             assert entry["size"] == sum(misses), name
     assert snap["matmul_cache"]["matmul_stack_hits"] > 0
+    assert set(snap["span_cache"]) == {"size", "span_hits", "span_misses"}
+    assert snap["span_cache"]["span_hits"] > 0
 
 
 def test_clear_caches_empties_them_and_reruns_match(mgr):

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from tidd import Value, apply, builders, errors
-from tidd.bench import GateSpec, measure_distribution
+from tidd.bench import _I, _X, GateSpec, measure_distribution
 from tidd.builders import (
     constant,
     equality_relation,
@@ -23,7 +23,7 @@ from tidd.errors import (
     require_dense,
     require_power_of_two,
 )
-from tidd.linalg import vector_from_basis_state
+from tidd.linalg import qubit_sum, vector_from_basis_state
 from tidd.oracle import (
     DenseFunction,
     class_count_at_level,
@@ -78,6 +78,10 @@ BAD_ARGUMENTS = [
     ("class count level 2", lambda m: _class_count(2), IndexOutOfRange),
     ("class count level -1", lambda m: _class_count(-1), IndexOutOfRange),
     ("gate on 3 qubits", lambda m: GateSpec("h", (0,), 3), NotPowerOfTwo),
+    ("qubit sum qubit 7 of 4", lambda m: qubit_sum(m, 4, [{7: _X}], _I), IndexOutOfRange),
+    ("qubit sum qubit 4 of 4", lambda m: qubit_sum(m, 4, [{0: _X}, {4: _X}], _I), IndexOutOfRange),
+    ("qubit sum qubit -1", lambda m: qubit_sum(m, 4, [{-1: _X}], _I), IndexOutOfRange),
+    ("qubit sum qubit 1.0", lambda m: qubit_sum(m, 4, [{1.0: _X}], _I), IndexOutOfRange),
 ]
 
 

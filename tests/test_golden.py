@@ -6,6 +6,8 @@ library.  A faster kernel must leave every one unchanged:
 
 * circuits: the ``dump`` of the final state plus the ``tidd bench`` CSV row
   without its timing field, ``wall_seconds``;
+* gates: the ``dump`` of every gate matrix of a circuit, built in circuit
+  order on one ``Manager``;
 * draws: the assignments ``sample`` draws from a family at a fixed seed, and
   the histogram ``measure_distribution`` returns for a circuit's state.
 """
@@ -16,7 +18,14 @@ from random import Random
 import pytest
 
 from tidd import Manager, anti_diagonal, dump, equality_relation, sample
-from tidd.bench import measure_distribution, metrics_fields
+from tidd.bench import (
+    bv_circuit,
+    bv_secret,
+    gate_matrix,
+    ghz_circuit,
+    measure_distribution,
+    metrics_fields,
+)
 
 from helpers import benchmark_run
 
@@ -48,6 +57,8 @@ GOLDEN = {
     "dj-16-2": "32be0b0aaecbebeb14527bf48e910de582bf125910de80bf80f08c7832586fb6",
     "dj-16-3": "7329a7c92742e1bd9341fa6e02dc18cbc865e93ac9d8fc02441a04db2b4d2b93",
     "dj-32-0": "ab60c31b5b96c97cc8d063f29ba4a56ecf186aa9de34ac4d7c0788cc38a1dc94",
+    "gates-ghz-64-0": "7c5569f055f98c953aa2866220854a7a47c83cf5640492cd92f6a2bd616cf9db",
+    "gates-bv-16-0": "8976bb6a837d64627f0d1b1dd2a773dc76205a9ee019499cb9f4e29a14ff32ba",
     "sample-eq-1": "f4cdb8ab95c02ebfcd45b2329a950433e5972688b8ed5a8d07b2be3897e3c443",
     "sample-eq-2": "57def2bb48c201ddb98ea5fba4e9f5f12213f692d3555cafdc2958b1c2113deb",
     "sample-eq-3": "237df7904a8d48a14f67e323502a4f766aee281cafc7954eda6dfa84aff35112",
@@ -80,8 +91,19 @@ def measure_text(qubits: int) -> str:
     return repr(sorted(measure_distribution(state, SHOTS, Random(SEED)).items()))
 
 
+def gates_text(algo: str, qubits: int, seed: int) -> str:
+    mgr = Manager()
+    if algo == "ghz":
+        gates = ghz_circuit(qubits)
+    else:
+        gates = bv_circuit(qubits, bv_secret(qubits, seed))
+    return "\n".join(dump(gate_matrix(mgr, g).t) for g in gates)
+
+
 def render(name: str) -> str:
     parts = name.split("-")
+    if parts[0] == "gates":
+        return gates_text(parts[1], int(parts[2]), int(parts[3]))
     if parts[0] == "sample":
         return sample_text(parts[1], int(parts[2]))
     if parts[0] == "measure":

@@ -1,3 +1,4 @@
+from functools import partial, reduce
 from random import Random
 
 import pytest
@@ -24,8 +25,8 @@ from tidd import (
 )
 from tidd.bench import bv_circuit, bv_secret, gate_matrix, ghz_circuit, run_benchmark
 from tidd.builders import constant, from_truth_table
-from tidd.core import MATMUL_STACK
-from tidd.errors import OracleScaleLimit, ShapeMismatch
+from tidd.core import MATMUL_STACK, Manager, dump
+from tidd.errors import OracleScaleLimit, ShapeMismatch, ValueDomainError
 from tidd.linalg import (
     MatrixTidd,
     VectorTidd,
@@ -394,6 +395,52 @@ def test_every_basis_state_equals_the_projection_fold(mgr):
             v = vector_from_basis_state(mgr, qubits, bits)
             assert v.t.t == projection_fold_basis_state(mgr, qubits, bits)
             assert is_column_replicated(v.t)
+
+
+def reference_qubit_sum(mgr, qubits, terms, blank):
+    """``qubit_sum`` as a fold with no span cache: one table per qubit."""
+    def product(term, lo, hi):
+        if hi - lo == 1:
+            return from_truth_table(mgr, 1, term.get(lo, blank))
+        mid = (lo + hi) // 2
+        return kronecker(product(term, lo, mid), product(term, mid, hi))
+
+    return reduce(partial(apply, PLUS), (product(t, 0, qubits) for t in terms))
+
+
+def random_qubit_terms(rng, qubits):
+    """One to three terms of up to three factors each; entries mix ints and Values."""
+    entries = (0, 1, -1, 2, Value(1, 0), SQRT2_HALF)
+    return [
+        {q: tuple(rng.choice(entries) for _ in range(4))
+         for q in rng.sample(range(qubits), rng.randint(0, min(qubits, 3)))}
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
+def test_qubit_sum_equals_the_uncached_fold():
+    rng = Random(18)
+    shared = Manager()
+    for qubits in (1, 2, 4, 8, 16, 32, 64):
+        for blank in ((1, 0, 0, 1), (1, 1, 0, 0)):  # the identity, |0><+|
+            for _ in range(4):
+                terms = random_qubit_terms(rng, qubits)
+                got = qubit_sum(shared, qubits, terms, blank).t
+                assert got == reference_qubit_sum(shared, qubits, terms, blank)
+                fresh = qubit_sum(Manager(), qubits, terms, blank).t
+                assert dump(fresh) == dump(got)
+
+
+def test_qubit_sum_rejects_a_float_entry_after_the_int_entry_is_cached(mgr):
+    x, identity = (0, 1, 1, 0), (1, 0, 0, 1)
+    qubit_sum(mgr, 4, [{1: x}], identity)
+    for terms, blank in (
+        ([{1: (0, 1.0, 1, 0)}], identity),
+        ([{1: (0, Value(1.0, 0, 0), 1, 0)}], identity),
+        ([{1: x}], (1.0, 0, 0, 1)),
+    ):
+        with pytest.raises(ValueDomainError):
+            qubit_sum(mgr, 4, terms, blank)
 
 
 def test_basis_state_past_the_dense_cap(mgr):

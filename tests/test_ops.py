@@ -22,6 +22,7 @@ from tidd import (
     scalar_multiply,
     validate,
 )
+from tidd.bench import run_benchmark
 from tidd.core import first_occurrence
 from tidd.errors import LevelMismatch, ValueDomainError
 from tidd.ops import canonical_tidd, pair_product, reduce_stack, reduce_tidd
@@ -125,6 +126,45 @@ def test_reduce_merges_fork_to_dontcare(mgr):
     layer = mgr.intern_layer(mgr.fork(), ((0, 0), (0, 0)))
     f = canonical_tidd(layer, [Value(7, 0)])
     assert equal(f, constant(mgr, 1, 7))
+
+
+def separates_by_brute_force(layer):
+    """validate's 2(v): no two child states share both their row and their column."""
+    table = layer.table
+    side = len(table)
+    return not any(
+        table[j] == table[k] and all(row[j] == row[k] for row in table)
+        for j in range(side)
+        for k in range(j + 1, side)
+    )
+
+
+def test_separates_is_learned_exactly_on_circuit_layers(mgr):
+    for algo, n in (("ghz", 64), ("bv", 16)):
+        run_benchmark(mgr, algo, n)
+    layers = list(mgr._layers.values())
+    learned = {layer: layer.separates for layer in layers if layer.separates is not None}
+    assert set(learned.values()) == {True, False}
+    for layer in layers:  # reducing under singleton top classes learns the rest
+        reduce_stack(layer, range(layer.num_states))
+    for layer in layers:
+        expected = separates_by_brute_force(layer)
+        assert layer.separates == learned.get(layer, expected) == expected, layer
+
+
+def test_reduce_merges_below_a_table_that_does_not_separate(mgr):
+    # level-1 states 1 and 2 share row (2, 3, 3) and column (1, 3, 3) of the top
+    level1 = mgr.intern_layer(mgr.fork(), ((0, 1), (2, 0)))
+    top = mgr.intern_layer(level1, ((0, 1, 1), (2, 3, 3), (2, 3, 3)))
+    values = [Value(v, 0) for v in range(4)]
+    for _ in range(2):  # the second pass reads the learned flag
+        new_top, maps = reduce_stack(top, (0, 1, 2, 3))
+        assert top.separates is False
+        assert maps[1] == (0, 1, 1)
+        assert new_top.table == ((0, 1), (2, 3))
+        f = Tidd(new_top, tuple(values))
+        assert validate(f).ok
+        assert exhaustive_equiv(f, dense_from_tidd(Tidd(top, tuple(values))))
 
 
 def test_reduce_output_validates_random(mgr):
