@@ -6,8 +6,10 @@ Run from anywhere, with no argument:
 
 Each row is the JSON line that ``tidd bench --algo ALGO --qubits N --seed 0
 --format json`` prints, run from this checkout's ``src`` in a fresh process:
-GHZ 64, 128, ..., 2048, then BV and DJ 8, 16, ..., 128.  A run still going
-after ``TIME_LIMIT_SECONDS`` is killed and kept as a timeout row
+GHZ 64, 128, ..., 2048, then BV and DJ 8, 16, ..., 128.  Each rung runs
+``RUNS_PER_RUNG`` times and keeps the row of the run with the median
+``wall_seconds``: one run moves with host load.  A run still going after
+``TIME_LIMIT_SECONDS`` is killed and kept as a timeout row
 ``{"algo", "qubits", "seed", "timeout_seconds"}``.  After the rows are
 written, the tier-1 suite runs once and its pass count and wall time are
 added.  ``parent_commit`` is the checked-out commit: the file cannot name
@@ -29,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "BENCH_ladder.json"
 SEED = 0
 TIME_LIMIT_SECONDS = 300
+RUNS_PER_RUNG = 3
 RUNGS = (
     [("ghz", 64 << k) for k in range(6)]
     + [("bv", 8 << k) for k in range(5)]
@@ -39,15 +42,19 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 
 
 def bench_row(algo: str, qubits: int) -> dict:
+    """The median-time row of ``RUNS_PER_RUNG`` runs; the first timeout ends the rung."""
     command = [sys.executable, "-m", "tidd.cli", "bench", "--algo", algo,
                "--qubits", str(qubits), "--seed", str(SEED), "--format", "json"]
-    try:
-        done = subprocess.run(command, env=ENV, capture_output=True, text=True,
-                              check=True, timeout=TIME_LIMIT_SECONDS)
-    except subprocess.TimeoutExpired:
-        return {"algo": algo, "qubits": qubits, "seed": SEED,
-                "timeout_seconds": TIME_LIMIT_SECONDS}
-    return json.loads(done.stdout)
+    rows = []
+    for _ in range(RUNS_PER_RUNG):
+        try:
+            done = subprocess.run(command, env=ENV, capture_output=True, text=True,
+                                  check=True, timeout=TIME_LIMIT_SECONDS)
+        except subprocess.TimeoutExpired:
+            return {"algo": algo, "qubits": qubits, "seed": SEED,
+                    "timeout_seconds": TIME_LIMIT_SECONDS}
+        rows.append(json.loads(done.stdout))
+    return sorted(rows, key=lambda row: row["wall_seconds"])[RUNS_PER_RUNG // 2]
 
 
 def tier1() -> dict:
@@ -83,6 +90,7 @@ def main() -> None:
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "time_limit_seconds": TIME_LIMIT_SECONDS,
+        "runs_per_rung": RUNS_PER_RUNG,
     }
     rows = []
     for algo, qubits in RUNGS:

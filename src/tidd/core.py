@@ -89,21 +89,14 @@ def first_occurrence(keys) -> tuple[tuple[int, ...], tuple]:
 def check_canonical_order(table: Table) -> int:
     """Verify first-occurrence order; return the parent-state count.
 
-    Scanning row-major, the first time each parent index appears the indices
-    must read 0, 1, 2, ... with no gaps.
+    A table is canonical exactly when ``first_occurrence`` of its row-major
+    entries gives the distinct entries 0, 1, 2, ... in order.
     """
-    next_new = 0
-    for row in table:
-        for entry in row:
-            if entry == next_new:
-                next_new += 1
-            elif not 0 <= entry < next_new:
-                raise CanonicalOrderViolation(
-                    f"parent index {entry} appears before index {next_new}"
-                )
-    if next_new == 0:
-        raise CanonicalOrderViolation("empty transition table")
-    return next_new
+    _, keys = first_occurrence(entry for row in table for entry in row)
+    for j, key in enumerate(keys):
+        if key != j:
+            raise CanonicalOrderViolation(f"parent index {key} appears before index {j}")
+    return len(keys)
 
 
 # One counter per cached operation: the (hits, misses) keys of Manager.stats
@@ -193,20 +186,13 @@ class Manager:
         that is already interned passed both checks, so they run on a miss.
         """
         table = tuple(map(tuple, table))
-        key = (child, table)
-        hit = self._layers.get(key)
+        hit = self._layers.get((child, table))
         if hit is not None:
             return hit
-        if len(table) != child.num_states or any(
-            len(row) != child.num_states for row in table
-        ):
-            raise ArityMismatch(
-                f"table side {len(table)} != child state count {child.num_states}"
-            )
-        num_states = check_canonical_order(table)
-        layer = Layer(self, child.level + 1, child, table, num_states)
-        self._layers[key] = layer
-        return layer
+        side = child.num_states
+        if len(table) != side or any(len(row) != side for row in table):
+            raise ArityMismatch(f"table side {len(table)} != child state count {side}")
+        return self._add_layer(child, table, check_canonical_order(table))
 
     def intern_cells(self, child: Layer, cells) -> tuple[Layer, tuple]:
         """Intern the layer whose row-major cells are the hashable ``cells``.
@@ -217,8 +203,17 @@ class Manager:
         """
         numbers, keys = first_occurrence(cells)
         side = child.num_states
-        rows = [numbers[i:i + side] for i in range(0, len(numbers), side)]
-        return self.intern_layer(child, rows), keys
+        if len(numbers) != side * side:
+            raise ArityMismatch(f"{len(numbers)} cells for child state count {side}")
+        table = tuple(numbers[i:i + side] for i in range(0, len(numbers), side))
+        hit = self._layers.get((child, table))
+        return hit or self._add_layer(child, table, len(keys)), keys
+
+    def _add_layer(self, child: Layer, table: Table, num_states: int) -> Layer:
+        """Intern a new layer whose ``table`` has passed both checks."""
+        layer = Layer(self, child.level + 1, child, table, num_states)
+        self._layers[child, table] = layer
+        return layer
 
 
 @dataclass(frozen=True)
@@ -322,16 +317,13 @@ def validate(f: Tidd) -> ValidationReport:
                 "state count", loc,
                 f"distinct entries {count} != recorded {layer.num_states}",
             )
-        # constraint 2(v): any two child states must differ in some row or column
-        for j in range(side):
-            for k in range(j + 1, side):
-                if table[j] == table[k] and all(
-                    table[q][j] == table[q][k] for q in range(side)
-                ):
-                    return _fail(
-                        "2(v) distinguishability", loc,
-                        f"child states {j} and {k} are indistinguishable",
-                    )
+        # constraint 2(v): child states with equal (row, column) share a number
+        numbers, signatures = first_occurrence(zip(table, zip(*table)))
+        if len(signatures) < side:
+            j = next(j for j, c in enumerate(numbers) if numbers.count(c) > 1)
+            k = numbers.index(numbers[j], j + 1)
+            detail = f"child states {j} and {k} are indistinguishable"
+            return _fail("2(v) distinguishability", loc, detail)
 
     if len(f.values) != f.top.num_states:
         return _fail(

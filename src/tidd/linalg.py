@@ -38,7 +38,9 @@ from functools import partial, reduce
 from .analysis import top_path_counts
 from .builders import equality_relation, from_truth_table
 from .core import MATMUL, MATMUL_STACK, SPAN, Layer, Manager, Tidd, evaluate
-from .errors import IndexOutOfRange, ShapeMismatch, require_dense, require_power_of_two
+from .errors import (
+    IndexOutOfRange, ShapeMismatch, require_at_least, require_dense, require_power_of_two,
+)
 from .ops import apply, canonical_tidd, kronecker
 from .values import PLUS, TIMES, Value, ZERO, as_value
 
@@ -83,7 +85,7 @@ def identity_matrix(mgr: Manager, qubits: int) -> MatrixTidd:
 
 
 def qubit_sum(mgr: Manager, qubits: int, terms, blank: tuple) -> MatrixTidd:
-    """The sum over the sequence ``terms`` of one tensor product each.
+    """The sum over the nonempty sequence ``terms`` of one tensor product each.
 
     A term maps qubits to row-major 2x2 entry tuples; each other qubit of the
     ``qubits`` takes the 2x2 ``blank``.  A product is a balanced tensor fold
@@ -100,6 +102,7 @@ def qubit_sum(mgr: Manager, qubits: int, terms, blank: tuple) -> MatrixTidd:
             raise IndexOutOfRange(f"term qubits {list(t)} are not all in 0..{qubits - 1}")
         factors = tuple(sorted((q, tuple(map(as_value, e))) for q, e in t.items()))
         products.append(_span(mgr, qubits, factors, blank))
+    require_at_least(len(products), 1, "term count")
     return MatrixTidd(reduce(partial(apply, PLUS), products), qubits)
 
 
@@ -238,34 +241,20 @@ def vector_norm_squared(v: VectorTidd) -> Value:
     return total.div_pow2(v.qubits)
 
 
+def _entry(m: MatrixTidd, r: int, c: int) -> Value:
+    """Entry (r, c) of ``m``: bits x_i of r and y_i of c interleave, x0 first."""
+    n = m.qubits
+    return evaluate(m.t, [(e >> (n - 1 - i)) & 1 for i in range(n) for e in (r, c)])
+
+
 def vector_amplitudes(v: VectorTidd) -> list[Value]:
     """Dense amplitude list (row r = column-0 entry), for small instances."""
-    n = v.qubits
-    require_dense(n, "an amplitude list")  # 2**n rows
-    amps = []
-    for r in range(1 << n):
-        bits = []
-        for i in range(n):
-            bits.append((r >> (n - 1 - i)) & 1)
-            bits.append(0)  # column bit, don't care
-        amps.append(evaluate(v.t.t, bits))
-    return amps
+    require_dense(v.qubits, "an amplitude list")  # 2**n rows
+    return [_entry(v.t, r, 0) for r in range(1 << v.qubits)]
 
 
 def is_column_replicated(m: MatrixTidd) -> bool:
     """Exhaustively check the vector invariant entry(r, c) == entry(r, c')."""
-    n = m.qubits
-    require_dense(2 * n, "the replication check")
-    for r in range(1 << n):
-        reference = None
-        for c in range(1 << n):
-            bits = []
-            for i in range(n):
-                bits.append((r >> (n - 1 - i)) & 1)
-                bits.append((c >> (n - 1 - i)) & 1)
-            entry = evaluate(m.t, bits)
-            if reference is None:
-                reference = entry
-            elif entry != reference:
-                return False
-    return True
+    require_dense(2 * m.qubits, "the replication check")
+    indices = range(1 << m.qubits)
+    return all(len({_entry(m, r, c) for c in indices}) == 1 for r in indices)

@@ -57,9 +57,6 @@ class Value:
             return NotImplemented
         return self.a == other.a and self.b == other.b and self.k == other.k
 
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.k))
-
     @classmethod
     def from_int(cls, n: int) -> Value:
         return cls(n, 0, 0)

@@ -23,7 +23,7 @@ from tidd import (
     validate,
 )
 from tidd.bench import measure_distribution, metrics_fields, run_benchmark
-from tidd.core import COUNTERS, Layer, first_occurrence
+from tidd.core import COUNTERS, Layer, check_canonical_order, first_occurrence
 from tidd.linalg import MatrixTidd
 from tidd.errors import (
     ArityMismatch,
@@ -73,6 +73,45 @@ def test_intern_rejects_noncanonical(mgr):
 def test_intern_rejects_arity_mismatch(mgr):
     with pytest.raises(ArityMismatch):
         mgr.intern_layer(mgr.dontcare(), ((0, 0), (0, 1)))
+
+
+def test_intern_rejects_a_ragged_table_of_side_squared_cells(mgr):
+    with pytest.raises(ArityMismatch, match=r"^table side 2 != child state count 2$"):
+        mgr.intern_layer(mgr.fork(), ((0, 0, 0), (1,)))
+
+
+def scan_canonical_order(table):
+    """Reference: scanning row-major, each new parent index must be the next."""
+    next_new = 0
+    for entry in chain.from_iterable(table):
+        if entry == next_new:
+            next_new += 1
+        elif not 0 <= entry < next_new:
+            return f"parent index {entry} appears before index {next_new}"
+    return next_new
+
+
+def test_canonical_order_check_agrees_with_a_row_major_scan():
+    rng = Random(11)
+    outcomes = Counter()
+    for _ in range(2000):
+        side = rng.randint(1, 4)
+        parents = rng.randint(1, side * side)
+        table = random_raw_table(rng, side, parents)
+        if rng.random() < 0.5:
+            numbers, _ = first_occurrence(chain.from_iterable(table))
+            table = tuple(numbers[r * side:(r + 1) * side] for r in range(side))
+        if rng.random() < 0.5:
+            cells = list(chain.from_iterable(table))
+            cells[rng.randrange(len(cells))] = rng.randint(-1, parents)
+            table = tuple(tuple(cells[r * side:(r + 1) * side]) for r in range(side))
+        try:
+            got = check_canonical_order(table)
+        except CanonicalOrderViolation as exc:
+            got = str(exc)
+        assert got == scan_canonical_order(table)
+        outcomes[type(got)] += 1
+    assert outcomes[int] > 500 and outcomes[str] > 500
 
 
 def test_first_occurrence_example():
@@ -173,6 +212,23 @@ def test_validate_duplicate_values(mgr):
     report = validate(bad)
     assert not report.ok
     assert "2(iv)" in report.constraint
+
+
+@pytest.mark.parametrize(
+    "classes, pair",
+    [((0, 1, 1, 0), (0, 3)), ((0, 1, 2, 1), (1, 3)), ((0, 0, 1, 1), (0, 1)),
+     ((0, 1, 0, 0), (0, 2)), ((0, 1, 2, 3), None)],
+)
+def test_validate_names_the_first_indistinguishable_pair(mgr, classes, pair):
+    # states of one class share their row and column, and classes differ
+    child = mgr.intern_layer(mgr.fork(), ((0, 1), (2, 3)))
+    top, keys = mgr.intern_cells(child, [(c, d) for c in classes for d in classes])
+    report = validate(Tidd(top, tuple(Value(v, 0) for v in range(len(keys)))))
+    if pair is None:
+        assert report.ok
+    else:
+        assert report.constraint == "2(v) distinguishability"
+        assert report.detail == "child states %d and %d are indistinguishable" % pair
 
 
 def test_validate_indistinguishable_states(mgr):

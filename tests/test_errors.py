@@ -82,6 +82,7 @@ BAD_ARGUMENTS = [
     ("qubit sum qubit 4 of 4", lambda m: qubit_sum(m, 4, [{0: _X}, {4: _X}], _I), IndexOutOfRange),
     ("qubit sum qubit -1", lambda m: qubit_sum(m, 4, [{-1: _X}], _I), IndexOutOfRange),
     ("qubit sum qubit 1.0", lambda m: qubit_sum(m, 4, [{1.0: _X}], _I), IndexOutOfRange),
+    ("qubit sum of no terms", lambda m: qubit_sum(m, 4, [], _I), IndexOutOfRange),
 ]
 
 

@@ -344,6 +344,8 @@ def test_vector_from_basis_state(mgr):
     v = vector_from_basis_state(mgr, 2, (1, 0))
     assert vector_amplitudes(v)[2] == Value(1, 0)
     assert is_column_replicated(v.t)
+    assert not is_column_replicated(identity_matrix(mgr, 1))
+    assert not is_column_replicated(identity_matrix(mgr, 2))
 
 
 def test_replication_check_refuses_sixteen_qubits(mgr):
