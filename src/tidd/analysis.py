@@ -26,7 +26,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from random import Random
 
-from .core import PATH_COUNTS, Layer, Tidd
+from .core import PATH_COUNTS, Layer, Manager, Tidd
 from .errors import NegativeWeight, ZeroDistribution
 
 PathCountAnnotation = tuple[tuple[int, ...], ...]
@@ -39,11 +39,10 @@ LayerIndex = tuple[PathCountAnnotation, tuple[Incoming, ...]]
 def layer_index(top: Layer) -> LayerIndex:
     """Path counts per level and the incoming index of every level (level 0
     first, holding no transitions), cached on the manager."""
-    mgr = top.manager
-    return mgr.memo(PATH_COUNTS, top, _index, top)
+    return top.manager.memo(PATH_COUNTS, _index, top)
 
 
-def _index(top: Layer) -> LayerIndex:
+def _index(mgr: Manager, top: Layer) -> LayerIndex:
     layers = top.stack()
     per_level: list[tuple[int, ...]] = [(1, 1) if layers[0].num_states == 2 else (2,)]
     levels: list[Incoming] = [()]

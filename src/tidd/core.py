@@ -134,18 +134,19 @@ class Manager:
         self.span_cache: dict = {}
         self.stats = {key: 0 for counter in COUNTERS for key in counter[:2]}
 
-    def memo(self, counter: tuple[str, str, str], key, compute, *args):
-        """The cached result for ``key``, or ``compute(*args)`` stored under it.
+    def memo(self, counter: tuple[str, str, str], compute, *args):
+        """The cached ``compute(self, *args)``, stored under the key ``args``.
 
         ``counter`` is one of ``COUNTERS`` (hits key, misses key, cache name);
-        each read adds one hit or one miss to ``stats``.  The key must hold
-        everything the result depends on, and no result is None.
+        each read adds one hit or one miss to ``stats``.  The key is the
+        body's arguments, so a body that reads only them and this manager's
+        tables depends on nothing the key misses.  No result is None.
         """
         cache = getattr(self, counter[2])
-        hit = cache.get(key)
+        hit = cache.get(args)
         self.stats[counter[hit is None]] += 1
         if hit is None:
-            hit = cache[key] = compute(*args)
+            hit = cache[args] = compute(self, *args)
         return hit
 
     def snapshot(self) -> dict[str, dict[str, int]]:

@@ -19,7 +19,7 @@ class CanonicalOrderViolation(TiddError):
 
 
 class ArityMismatch(TiddError):
-    """A transition table's side does not match the child layer's state count."""
+    """A table's side or cell count, or a top class count, does not match a state count."""
 
 
 class AssignmentLengthMismatch(TiddError):

@@ -98,27 +98,25 @@ def qubit_sum(mgr: Manager, qubits: int, terms, blank: tuple) -> MatrixTidd:
     blank = tuple(map(as_value, blank))
     products = []
     for t in terms:
-        if any(not isinstance(q, int) or not 0 <= q < qubits for q in t):
+        if any(isinstance(q, bool) or not isinstance(q, int) or not 0 <= q < qubits
+               for q in t):
             raise IndexOutOfRange(f"term qubits {list(t)} are not all in 0..{qubits - 1}")
         factors = tuple(sorted((q, tuple(map(as_value, e))) for q, e in t.items()))
-        products.append(_span(mgr, qubits, factors, blank))
+        products.append(mgr.memo(SPAN, _build_span, qubits, factors, blank))
     require_at_least(len(products), 1, "term count")
     return MatrixTidd(reduce(partial(apply, PLUS), products), qubits)
 
 
-def _span(mgr: Manager, size: int, factors: tuple, blank: tuple) -> Tidd:
-    """The tensor product of ``factors`` (sorted (offset, entries) pairs) over
-    ``size`` qubits, the blank elsewhere; memoized in ``span_cache``."""
-    return mgr.memo(SPAN, (size, factors, blank), _build_span, mgr, size, factors, blank)
-
-
 def _build_span(mgr: Manager, size: int, factors: tuple, blank: tuple) -> Tidd:
+    """The tensor product of ``factors`` (sorted (offset, entries) pairs) over
+    ``size`` qubits, the blank elsewhere; its halves are read from ``span_cache``."""
     if size == 1:
         return from_truth_table(mgr, 1, factors[0][1] if factors else blank)
     half = size // 2
     left = tuple(f for f in factors if f[0] < half)
     right = tuple((q - half, e) for q, e in factors[len(left):])
-    return kronecker(_span(mgr, half, left, blank), _span(mgr, half, right, blank))
+    halves = (mgr.memo(SPAN, _build_span, half, part, blank) for part in (left, right))
+    return kronecker(*halves)
 
 
 def vector_from_basis_state(mgr: Manager, qubits: int, bits) -> VectorTidd:
@@ -167,23 +165,16 @@ def _dead_below(layer: Layer, dead: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def _matmul_stack(
-    a: Layer, b: Layer, dead_a: tuple[int, ...], dead_b: tuple[int, ...], counter
+def _product_stack(
+    mgr: Manager, a: Layer, b: Layer, dead_a: tuple[int, ...], dead_b: tuple[int, ...]
 ) -> tuple[Layer, tuple[TripleSum, ...]]:
-    """Product stack for two operand stacks; memoized on layers and dead states.
+    """Product stack for two operand stacks, memoized on layers and dead states.
 
     ``dead_a`` and ``dead_b`` are the dead states of ``a`` and ``b``.
     Returns the product layer at the operands' level plus the formal sum
-    tracked by each of its states.  The cache read counts under ``counter``:
-    MATMUL for a matmul call's top pair, MATMUL_STACK for the pairs below.
+    tracked by each of its states.  ``matmul`` reads the top pair under
+    MATMUL, and each stack reads its child pair under MATMUL_STACK.
     """
-    mgr = a.manager
-    key = (a, b, dead_a, dead_b)
-    return mgr.memo(counter, key, _product_stack, *key)
-
-
-def _product_stack(a, b, dead_a, dead_b) -> tuple[Layer, tuple[TripleSum, ...]]:
-    mgr = a.manager
     ta, tb = a.table, b.table
     # a cell lists its live triples; ``for q, p in [...]`` binds a triple's states
     if a.level == 1:
@@ -198,9 +189,8 @@ def _product_stack(a, b, dead_a, dead_b) -> tuple[Layer, tuple[TripleSum, ...]]:
             for j in range(2)
         )
     else:
-        child, child_sums = _matmul_stack(
-            a.child, b.child, _dead_below(a, dead_a), _dead_below(b, dead_b), MATMUL_STACK
-        )
+        dead = (_dead_below(a, dead_a), _dead_below(b, dead_b))
+        child, child_sums = mgr.memo(MATMUL_STACK, _product_stack, a.child, b.child, *dead)
         cells = (
             [(q, p, wa * wb) for qa, pa, wa in left for qb, pb, wb in right
              for q, p in [(ta[qa][qb], tb[pa][pb])] if q not in dead_a and p not in dead_b]
@@ -215,7 +205,8 @@ def matmul(a: MatrixTidd, b: MatrixTidd) -> MatrixTidd:
     """Exact matrix product, memoized on the operand layers and their zero states."""
     if a.qubits != b.qubits:
         raise ShapeMismatch(f"qubit counts {a.qubits} and {b.qubits}")
-    top, sums = _matmul_stack(a.t.top, b.t.top, _dead_top(a.t), _dead_top(b.t), MATMUL)
+    dead = (_dead_top(a.t), _dead_top(b.t))
+    top, sums = a.t.manager.memo(MATMUL, _product_stack, a.t.top, b.t.top, *dead)
     raw_values = [
         sum(((a.t.values[q] * b.t.values[p]).scale_int(w) for q, p, w in s), ZERO)
         for s in sums

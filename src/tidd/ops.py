@@ -18,8 +18,8 @@ the two operands' states; that pairing is the price of hierarchy alone.
 
 from __future__ import annotations
 
-from .core import APPLY, KRONECKER, PAIR_PRODUCT, Layer, Tidd, first_occurrence
-from .errors import LevelMismatch
+from .core import APPLY, KRONECKER, PAIR_PRODUCT, Layer, Manager, Tidd, first_occurrence
+from .errors import ArityMismatch, LevelMismatch
 from .values import BinaryOp, Value, as_value
 
 PairMeta = tuple[tuple[int, int], ...]
@@ -38,12 +38,10 @@ def pair_product(a: Layer, b: Layer) -> tuple[Layer, PairMeta]:
     """
     if a.level != b.level:
         raise LevelMismatch(f"levels {a.level} and {b.level}")
-    mgr = a.manager
-    return mgr.memo(PAIR_PRODUCT, (a, b), _pair_product, a, b)
+    return a.manager.memo(PAIR_PRODUCT, _pair_product, a, b)
 
 
-def _pair_product(a: Layer, b: Layer) -> tuple[Layer, PairMeta]:
-    mgr = a.manager
+def _pair_product(mgr: Manager, a: Layer, b: Layer) -> tuple[Layer, PairMeta]:
     if a.is_leaf():
         # symbol s reaches state s * (num_states - 1) on each operand
         _, meta = first_occurrence(((0, 0), (a.num_states - 1, b.num_states - 1)))
@@ -61,9 +59,10 @@ def _pair_product(a: Layer, b: Layer) -> tuple[Layer, PairMeta]:
 def reduce_stack(top: Layer, top_classes) -> tuple[Layer, list[tuple[int, ...]]]:
     """Minimize a layer stack given a merge of its top states.
 
-    ``top_classes[q]`` gives the class of top state q; the classes must be
-    numbered by first occurrence.  Two states at a lower level merge iff
-    their transition behavior coincides class-wise in every row and column.
+    ``top_classes[q]`` gives the class of top state q, numbered by first
+    occurrence; a count other than one class per top state raises
+    ArityMismatch.  Two states at a lower level merge iff their transition
+    behavior coincides class-wise in every row and column.
     Returns the new top layer and, per level from 0 up, the map old state
     index -> new state index, which is the class numbering itself.
     """
@@ -76,6 +75,8 @@ def reduce_stack(top: Layer, top_classes) -> tuple[Layer, list[tuple[int, ...]]]
     # classes are singletons iff it separates its child states: learned once.
     class_of: list[tuple[int, ...]] = [()] * (level + 1)
     class_of[level] = tuple(top_classes)
+    if len(class_of[level]) != top.num_states:
+        raise ArityMismatch(f"{len(class_of[level])} classes for {top.num_states} top states")
     mapped_rows: list = [()] * level
     identity = [False] * (level + 1)
     identity[level] = class_of[level] == tuple(range(top.num_states))
@@ -136,11 +137,10 @@ def apply(op: BinaryOp, f: Tidd, g: Tidd) -> Tidd:
     """Pointwise ``op`` of two same-level diagrams, canonical and minimal."""
     if f.level != g.level:
         raise LevelMismatch(f"levels {f.level} and {g.level}")
-    mgr = f.manager
-    return mgr.memo(APPLY, (op, f, g), _apply, op, f, g)
+    return f.manager.memo(APPLY, _apply, op, f, g)
 
 
-def _apply(op: BinaryOp, f: Tidd, g: Tidd) -> Tidd:
+def _apply(mgr: Manager, op: BinaryOp, f: Tidd, g: Tidd) -> Tidd:
     top, meta = pair_product(f.top, g.top)
     return canonical_tidd(top, [op(f.values[q], g.values[p]) for q, p in meta])
 
@@ -161,11 +161,10 @@ def kronecker(a: Tidd, b: Tidd) -> Tidd:
     """
     if a.level != b.level:
         raise LevelMismatch(f"levels {a.level} and {b.level}")
-    mgr = a.manager
-    return mgr.memo(KRONECKER, (a, b), _kronecker, a, b)
+    return a.manager.memo(KRONECKER, _kronecker, a, b)
 
 
-def _kronecker(a: Tidd, b: Tidd) -> Tidd:
+def _kronecker(mgr: Manager, a: Tidd, b: Tidd) -> Tidd:
     child, meta = pair_product(a.top, b.top)
-    top, cells = a.manager.intern_cells(child, ((q, p) for q, _ in meta for _, p in meta))
+    top, cells = mgr.intern_cells(child, ((q, p) for q, _ in meta for _, p in meta))
     return canonical_tidd(top, [a.values[q] * b.values[p] for q, p in cells])

@@ -79,13 +79,9 @@ def dense_from_tidd(f: Tidd) -> DenseFunction:
     layers = f.top.stack()
     states = [0, layers[0].num_states - 1]  # the states symbols 0 and 1 reach
     for layer in layers[1:]:
-        half_bits = 1 << (layer.level - 1)
-        mask = (1 << half_bits) - 1
+        # a level's strings are its left half's strings times its right half's, in order
         table = layer.table
-        states = [
-            table[states[w >> half_bits]][states[w & mask]]
-            for w in range(1 << (1 << layer.level))
-        ]
+        states = [table[s][t] for s in states for t in states]
     return DenseFunction(f.level, tuple(f.values[s] for s in states))
 
 

@@ -23,7 +23,7 @@ from tidd import (
     validate,
 )
 from tidd.bench import measure_distribution, metrics_fields, run_benchmark
-from tidd.core import COUNTERS, Layer, check_canonical_order, first_occurrence
+from tidd.core import APPLY, COUNTERS, Layer, check_canonical_order, first_occurrence
 from tidd.linalg import MatrixTidd
 from tidd.errors import (
     ArityMismatch,
@@ -332,11 +332,25 @@ def test_every_counter_matches_its_calls(mgr, monkeypatch):
     count(ops, "apply", "apply")
     count(ops, "kronecker", "kronecker")
     count(linalg, "matmul", "matmul")
-    count(linalg, "_matmul_stack", "matmul_stack")
     count(analysis, "layer_index", "path_counts")
-    count(linalg, "_span", "span")
     count(linalg, "kronecker", "kronecker")  # qubit_sum's own imports
     count(linalg, "apply", "apply")
+
+    # span and stack reads are counted from structure: each product stack
+    # above level 1 reads its child pair, and each span of more than one
+    # qubit reads its two halves (qubit_sum reads one span per term, below)
+    product_stack, build_span = linalg._product_stack, linalg._build_span
+
+    def stack_reads(manager, a, *args):
+        calls["matmul_stack"] += a.level > 1
+        return product_stack(manager, a, *args)
+
+    def span_reads(manager, size, *args):
+        calls["span"] += 2 * (size > 1)
+        return build_span(manager, size, *args)
+
+    monkeypatch.setattr(linalg, "_product_stack", stack_reads)
+    monkeypatch.setattr(linalg, "_build_span", span_reads)
 
     rng = Random(41)
     for level in (1, 2, 3):
@@ -352,14 +366,30 @@ def test_every_counter_matches_its_calls(mgr, monkeypatch):
                 analysis.sample(ops.apply(TIMES, f, f), rng)
             terms = [{0: (0, 1, 1, 0)}, {level - 1: (1, 0, 0, -1)}]
             linalg.qubit_sum(mgr, 1 << level, terms, (1, 0, 0, 1))
-    # each matmul call makes one top-pair read of the shared stack cache
-    calls["matmul_stack"] -= calls["matmul"]
+            calls["span"] += len(terms)
 
     names = {key.rsplit("_", 1)[0] for key in mgr.stats}
     assert names == set(calls)
     for name in names:
         assert mgr.stats[f"{name}_hits"] + mgr.stats[f"{name}_misses"] == calls[name]
         assert mgr.stats[f"{name}_hits"] > 0, name
+
+
+def test_memo_keys_on_the_body_arguments(mgr):
+    received = []
+
+    def body(*args):
+        received.append(args)
+        return len(received)
+
+    args = (1, "x", (2, 3))
+    assert mgr.memo(APPLY, body, *args) == 1
+    assert mgr.memo(APPLY, body, 1, "x", tuple([2, 3])) == 1  # equal arguments hit
+    assert received == [(mgr, *args)]
+    assert mgr.apply_cache == {args: 1}
+    assert (mgr.stats["apply_misses"], mgr.stats["apply_hits"]) == (1, 1)
+    assert mgr.memo(APPLY, body, 1, "x", (3, 2)) == 2
+    assert mgr.apply_cache == {args: 1, (1, "x", (3, 2)): 2}
 
 
 def test_snapshot_reports_every_table_with_its_counters(mgr):

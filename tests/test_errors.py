@@ -15,6 +15,7 @@ from tidd.builders import (
     projection,
 )
 from tidd.errors import (
+    ArityMismatch,
     IndexOutOfRange,
     NotPowerOfTwo,
     OracleScaleLimit,
@@ -24,6 +25,7 @@ from tidd.errors import (
     require_power_of_two,
 )
 from tidd.linalg import qubit_sum, vector_from_basis_state
+from tidd.ops import canonical_tidd, reduce_stack
 from tidd.oracle import (
     DenseFunction,
     class_count_at_level,
@@ -47,6 +49,10 @@ def _apply_half(mgr):
 
 def _class_count(level):
     return class_count_at_level(dense_constant(1, 0), level)
+
+
+def _hadamard_top(mgr):
+    return hadamard_family(mgr, 1).top  # two top states
 
 
 BAD_ARGUMENTS = [
@@ -83,6 +89,11 @@ BAD_ARGUMENTS = [
     ("qubit sum qubit -1", lambda m: qubit_sum(m, 4, [{-1: _X}], _I), IndexOutOfRange),
     ("qubit sum qubit 1.0", lambda m: qubit_sum(m, 4, [{1.0: _X}], _I), IndexOutOfRange),
     ("qubit sum of no terms", lambda m: qubit_sum(m, 4, [], _I), IndexOutOfRange),
+    ("qubit sum qubit True", lambda m: qubit_sum(m, 4, [{True: _X}], _I), IndexOutOfRange),
+    ("1 value for 2 top states", lambda m: canonical_tidd(_hadamard_top(m), [1]), ArityMismatch),
+    ("3 values for 2 top states",
+     lambda m: canonical_tidd(_hadamard_top(m), [1, 2, 3]), ArityMismatch),
+    ("1 class for 2 top states", lambda m: reduce_stack(_hadamard_top(m), (0,)), ArityMismatch),
 ]
 
 

@@ -32,7 +32,7 @@ from tidd.linalg import (
     VectorTidd,
     _dead_below,
     _dead_top,
-    _matmul_stack,
+    _product_stack,
     is_column_replicated,
     merge_triples,
     qubit_sum,
@@ -115,14 +115,14 @@ def test_repeated_stack_read_hits_the_layer_pair_memo(mgr):
     b = random_matrix(mgr, rng, 4)
     key = (a.t.top, b.t.top, _dead_top(a.t), _dead_top(b.t))
     assert key[2] and key[3]  # both operands have a zero entry
-    first = _matmul_stack(*key, MATMUL_STACK)
+    first = mgr.memo(MATMUL_STACK, _product_stack, *key)
     # every product stack is stored under its operand layers and dead states
     assert mgr.matmul_cache[key] is first
     for la, lb, dead_a, dead_b in mgr.matmul_cache:
         assert la.level == lb.level
         assert type(dead_a) is tuple and type(dead_b) is tuple
     hits = mgr.stats["matmul_stack_hits"]
-    assert _matmul_stack(*key, MATMUL_STACK) is first
+    assert mgr.memo(MATMUL_STACK, _product_stack, *key) is first
     assert mgr.stats["matmul_stack_hits"] == hits + 1
 
 
@@ -203,7 +203,8 @@ def assert_stack_matches_reference(f, g):
     for la, lb, (table, sums) in zip(
         f.top.stack()[1:], g.top.stack()[1:], expected, strict=True
     ):
-        layer, got = _matmul_stack(la, lb, dead_f[la.level], dead_g[lb.level], MATMUL_STACK)
+        dead = (dead_f[la.level], dead_g[lb.level])
+        layer, got = la.manager.memo(MATMUL_STACK, _product_stack, la, lb, *dead)
         assert layer.table == table
         assert got == sums
 
@@ -286,7 +287,7 @@ def test_circuit_sums_are_short_and_hold_no_dead_state(mgr, algo):
         dead_f, dead_g = dead_states(f), dead_states(g)
         for la, lb in zip(f.top.stack()[1:], g.top.stack()[1:]):
             dead_q, dead_p = dead_f[la.level], dead_g[lb.level]
-            _, sums = _matmul_stack(la, lb, dead_q, dead_p, MATMUL_STACK)
+            _, sums = mgr.memo(MATMUL_STACK, _product_stack, la, lb, dead_q, dead_p)
             for s in sums:
                 assert len(s) <= 2
                 assert all(q not in dead_q and p not in dead_p for q, p, _ in s)
