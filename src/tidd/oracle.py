@@ -11,6 +11,7 @@ the diagram-side algorithms it checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 
 from .builders import constant, projection
@@ -34,15 +35,25 @@ from .values import (
 
 @dataclass(frozen=True)
 class DenseFunction:
-    """Exhaustive tabulation: outputs[i] is the value at assignment bits(i)."""
+    """Exhaustive tabulation: the value at assignment bits(i) is palette[index[i]].
+
+    Canonical, so equality is pointwise: ``palette`` lists the distinct values
+    by first occurrence; ``index`` is ``bytes`` for at most 256 values, else a tuple.
+    """
 
     level: int
-    outputs: tuple[Value, ...]
+    palette: tuple[Value, ...]
+    index: bytes | tuple[int, ...]
 
     def __post_init__(self) -> None:
         expected = _dense_size(self.level)
-        if len(self.outputs) != expected:
-            raise ShapeMismatch(f"expected {expected} outputs, got {len(self.outputs)}")
+        if len(self.index) != expected:
+            raise ShapeMismatch(f"expected {expected} outputs, got {len(self.index)}")
+
+    @cached_property
+    def outputs(self) -> tuple[Value, ...]:
+        """Every entry's value, built once; library code reads ``index``."""
+        return tuple(map(self.palette.__getitem__, self.index))
 
     @property
     def num_vars(self) -> int:
@@ -56,12 +67,32 @@ def _dense_size(level: int) -> int:
     return 1 << (1 << level)
 
 
+def _tabulate(level: int, codes, value_of, count: int = 256) -> DenseFunction:
+    """The canonical table whose entry i is ``as_value(value_of(codes[i]))``.
+
+    ``value_of`` runs once per distinct code, in order of first occurrence.
+    ``bytes`` codes lie below ``count``.
+    """
+    if isinstance(codes, bytes):  # one search per byte value finds its first position
+        firsts = [codes[p] for p in sorted(map(codes.find, range(count))) if p >= 0]
+    else:
+        firsts = dict.fromkeys(codes)
+    numbers: dict[Value, int] = {}
+    number = {c: numbers.setdefault(as_value(value_of(c)), len(numbers)) for c in firsts}
+    if isinstance(codes, bytes):
+        index = codes.translate(bytes(map(number.get, range(256), bytes(256))))
+    else:
+        index = (bytes if len(numbers) <= 256 else tuple)(map(number.__getitem__, codes))
+    return DenseFunction(level, tuple(numbers), index)
+
+
 def dense_function(level: int, outputs) -> DenseFunction:
-    return DenseFunction(level, tuple(as_value(v) for v in outputs))
+    # every entry is checked, then equal values are numbered together
+    return _tabulate(level, [as_value(v) for v in outputs], as_value)
 
 
 def dense_constant(level: int, v) -> DenseFunction:
-    return DenseFunction(level, (as_value(v),) * _dense_size(level))
+    return DenseFunction(level, (as_value(v),), bytes(_dense_size(level)))
 
 
 def dense_projection(level: int, index: int) -> DenseFunction:
@@ -70,48 +101,54 @@ def dense_projection(level: int, index: int) -> DenseFunction:
     if index >= 1 << level:
         raise IndexOutOfRange(f"index {index} for {1 << level} variables")
     run = 1 << ((1 << level) - 1 - index)  # assignments per run of equal bit `index`
-    return DenseFunction(level, ((FALSE,) * run + (TRUE,) * run) * (size // (2 * run)))
+    bits = (bytes(run) + b"\x01" * run) * (size // (2 * run))
+    return DenseFunction(level, (FALSE, TRUE), bits)
 
 
 def dense_from_tidd(f: Tidd) -> DenseFunction:
     """Tabulate a diagram by running the state map over all strings per level."""
     require_dense(f.num_vars, "tabulating a diagram")
     layers = f.top.stack()
-    states = [0, layers[0].num_states - 1]  # the states symbols 0 and 1 reach
+    states = bytes((0, layers[0].num_states - 1))  # the states symbols 0 and 1 reach
     for layer in layers[1:]:
         # a level's strings are its left half's strings times its right half's, in order
         table = layer.table
-        states = [table[s][t] for s in states for t in states]
-    return DenseFunction(f.level, tuple(f.values[s] for s in states))
+        if layer.num_states <= 256:  # as below, by one translate per left state
+            rows = [bytes(row).ljust(256, b"\0") for row in table]
+            states = b"".join(states.translate(rows[s]) for s in states)
+        else:  # only the top of 16 variables, whose children number at most 256
+            states = [table[s][t] for s in states for t in states]
+    # renumbered by value: the values of a diagram that is not reduced may repeat
+    return _tabulate(f.level, states, f.values.__getitem__, f.top.num_states)
 
 
 def exhaustive_equiv(f: Tidd, d: DenseFunction) -> bool:
     """True iff the diagram matches the dense table at every assignment."""
     if f.level != d.level:
         raise ShapeMismatch(f"levels {f.level} and {d.level}")
-    return dense_from_tidd(f).outputs == d.outputs
+    return dense_from_tidd(f) == d  # palette and index, both canonical
 
 
 def dense_apply(op: BinaryOp, a: DenseFunction, b: DenseFunction) -> DenseFunction:
-    """Pointwise ``op``, evaluated once per distinct pair of operand objects.
+    """Pointwise ``op``, evaluated once per distinct pair of palette values.
 
-    A table holds few distinct ``Value`` objects, so the pairs repeat.  The
-    memo is keyed on object identities, which stay unique while both operand
-    tables are alive, and entries with one key share one result object.  Pairs
-    are evaluated in table order, so a failing pair raises as it would
-    entry by entry; a result outside the ring raises as in ``apply``.
+    Entry i has pair code ``a.index[i] * len(b.palette) + b.index[i]``.  With
+    at most 256 codes, one big-integer multiply-add of the two byte indexes
+    gives every entry's code as one byte: no digit sum reaches 256, so
+    nothing carries.  Codes are evaluated in order of first occurrence, so a
+    failing pair raises as it would entry by entry; a result outside the ring
+    raises as in ``apply``.
     """
     if a.level != b.level:
         raise ShapeMismatch(f"levels {a.level} and {b.level}")
-    memo: dict[tuple[int, int], Value] = {}
-    outputs = []
-    for x, y in zip(a.outputs, b.outputs):
-        key = (id(x), id(y))
-        z = memo.get(key)
-        if z is None:
-            z = memo[key] = as_value(op(x, y))
-        outputs.append(z)
-    return DenseFunction(a.level, tuple(outputs))
+    pa, pb = a.palette, b.palette
+    width, count = len(pb), len(pa) * len(pb)
+    if count <= 256:
+        ia, ib = int.from_bytes(a.index, "big"), int.from_bytes(b.index, "big")
+        codes = (ia * width + ib).to_bytes(len(a.index), "big")
+    else:
+        codes = [x * width + y for x, y in zip(a.index, b.index)]
+    return _tabulate(a.level, codes, lambda c: op(pa[c // width], pb[c % width]), count)
 
 
 def _spread_table(half_bits: int) -> list[int]:
@@ -131,7 +168,8 @@ def dense_to_matrix(d: DenseFunction) -> list[list[Value]]:
     if d.level < 1:
         raise ShapeMismatch("matrix functions need at least 2 variables")
     spread = _spread_table(1 << (d.level - 1))
-    return [[d.outputs[r << 1 | c] for c in spread] for r in spread]
+    palette, index = d.palette, d.index
+    return [[palette[index[r << 1 | c]] for c in spread] for r in spread]
 
 
 def matrix_to_dense(grid: list[list[Value]], level: int) -> DenseFunction:
@@ -139,8 +177,8 @@ def matrix_to_dense(grid: list[list[Value]], level: int) -> DenseFunction:
     outputs = [FALSE] * (1 << (1 << level))
     for r, sr in enumerate(spread):
         for c, sc in enumerate(spread):
-            outputs[sr << 1 | sc] = as_value(grid[r][c])
-    return DenseFunction(level, tuple(outputs))
+            outputs[sr << 1 | sc] = grid[r][c]
+    return dense_function(level, outputs)
 
 
 def dense_matmul(a: DenseFunction, b: DenseFunction) -> DenseFunction:
@@ -165,7 +203,10 @@ def dense_kron(a: DenseFunction, b: DenseFunction) -> DenseFunction:
     if a.level != b.level:
         raise ShapeMismatch(f"levels {a.level} and {b.level}")
     _dense_size(a.level + 1)  # the dense cap, checked before any entry is computed
-    return DenseFunction(a.level + 1, tuple(x * y for x in a.outputs for y in b.outputs))
+    pa, pb = a.palette, b.palette
+    width = len(pb)
+    codes = [x * width + y for x in a.index for y in b.index]
+    return _tabulate(a.level + 1, codes, lambda c: pa[c // width] * pb[c % width])
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +220,8 @@ def class_counts(d: DenseFunction) -> tuple[int, ...]:
     downward in one pass: two strings stay together iff concatenating them
     with every peer, on either side, lands in the same class one level up.
     """
-    classes: dict[Value, int] = {}
-    cls = tuple(classes.setdefault(v, len(classes)) for v in d.outputs)
-    counts = [0] * d.level + [len(classes)]
+    cls = d.index  # palette positions: the output classes, by first occurrence
+    counts = [0] * d.level + [len(d.palette)]
     for j in range(d.level - 1, -1, -1):
         count = 1 << (1 << j)
         above = cls  # above[(w << 2**j) | u]: class of the string w || u

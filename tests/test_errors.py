@@ -76,7 +76,7 @@ BAD_ARGUMENTS = [
     ("dense table of Value(1, 0.5, 0)",
      lambda m: dense_function(1, [Value(1, 0.5, 0)] * 4), ValueDomainError),
     ("6-variable suite", lambda m: run_equivalence_suite(m, 6, 1, 0), NotPowerOfTwo),
-    ("dense table level -1", lambda m: DenseFunction(-1, ()), IndexOutOfRange),
+    ("dense table level -1", lambda m: DenseFunction(-1, (), b""), IndexOutOfRange),
     ("dense constant level -1", lambda m: dense_constant(-1, 1), IndexOutOfRange),
     ("dense projection level -1", lambda m: dense_projection(-1, 0), IndexOutOfRange),
     ("dense projection index -1", lambda m: dense_projection(2, -1), IndexOutOfRange),

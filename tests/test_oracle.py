@@ -244,7 +244,7 @@ def test_dense_kron_checks_the_cap_before_multiplying():
         def __mul__(self, other):
             raise AssertionError("multiplied before the dense cap was checked")
 
-    a = DenseFunction(4, (NoProduct(),) * 65536)  # 16 variables, at the cap
+    a = DenseFunction(4, (NoProduct(),), bytes(65536))  # 16 variables, at the cap
     with pytest.raises(OracleScaleLimit):
         dense_kron(a, a)
 
@@ -325,3 +325,77 @@ def test_run_equivalence_suite(mgr):
 def test_suite_rejects_non_power_vars(mgr):
     with pytest.raises(NotPowerOfTwo):
         run_equivalence_suite(mgr, 6, 5, seed=0)
+
+
+def _table_over(rng, level, palette):
+    """A seeded table in which every palette value occurs, the first one first."""
+    rest = list(palette[1:])
+    rest += [rng.choice(palette) for _ in range((1 << (1 << level)) - len(palette))]
+    rng.shuffle(rest)
+    return dense_function(level, [palette[0]] + rest)
+
+
+def _distinct_values(rng, count):
+    """``count`` distinct ring values, FALSE and TRUE first."""
+    values = dict.fromkeys((Value(0, 0), Value(1, 0)))
+    while len(values) < count:
+        values[Value(rng.randint(-40, 40), rng.randint(-3, 3), rng.randint(0, 2))] = None
+    return list(values)[:count]
+
+
+@pytest.mark.parametrize("sizes", [(15, 17), (16, 16), (257, 1), (1, 257), (300, 2)])
+def test_dense_apply_matches_elementwise_around_the_byte_bound(sizes):
+    # palette products 255, 256 and 257 straddle the one-byte pair code; 300 x 2
+    # has a tuple index.  Each table starts on a boolean, so boolean ops raise
+    # on a later pair, which must be the first bad pair in table order.
+    rng = Random(31 + sizes[0])
+    a = _table_over(rng, 4, _distinct_values(rng, sizes[0]))
+    b = _table_over(rng, 4, _distinct_values(rng, sizes[1]))
+    assert (len(a.palette), len(b.palette)) == sizes
+    assert isinstance(a.index, bytes) == (sizes[0] <= 256)
+    for op in _BOOL_OPS:  # AND, OR, XOR, PLUS and TIMES
+        try:
+            expected = elementwise(op, a, b)
+        except ValueDomainError as reference:
+            with pytest.raises(ValueDomainError) as raised:
+                dense_apply(op, a, b)
+            assert str(raised.value) == str(reference)
+        else:
+            assert dense_apply(op, a, b).outputs == expected
+
+
+def test_dense_apply_raises_on_the_first_bad_pair_in_table_order():
+    # pair codes (1,0)=0, (1,3)=1, (2,3)=3, but (2,3) occurs before (1,3)
+    a = dense_function(2, [1, 2, 1] + [1] * 13)
+    b = dense_function(2, [0, 3, 3] + [0] * 13)
+    with pytest.raises(ValueDomainError) as raised:
+        dense_apply(AND, a, b)
+    assert "Value(2, 0, 0), Value(3, 0, 0)" in str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "level, sizes, index_type", [(2, (3, 2), bytes), (3, (5, 7), bytes), (4, (20, 30), tuple)]
+)
+def test_every_builder_gives_one_canonical_form(mgr, level, sizes, index_type):
+    rng = Random(32 + level)
+    a = _table_over(rng, level, _distinct_values(rng, sizes[0]))
+    b = _table_over(rng, level, _distinct_values(rng, sizes[1]))
+    for op in (PLUS, TIMES):
+        values = elementwise(op, a, b)
+        applied = dense_apply(op, a, b)
+        assert applied == dense_function(level, values)
+        assert applied == dense_from_tidd(from_truth_table(mgr, level, values))
+        assert isinstance(applied.index, bytes) == (len(applied.palette) <= 256)
+        assert applied.palette == tuple(dict.fromkeys(values))
+    assert type(dense_apply(PLUS, a, b).index) is index_type
+
+
+def test_exhaustive_equiv_reads_palette_and_index(mgr):
+    f = anti_diagonal(mgr, 4)
+    d = dense_from_tidd(f)
+    assert exhaustive_equiv(f, d)
+    moved = bytearray(d.index)
+    moved[-1] ^= 1  # the last assignment's value, not a first occurrence
+    assert not exhaustive_equiv(f, DenseFunction(d.level, d.palette, bytes(moved)))
+    other = (d.palette[0], d.palette[1] + Value(1, 0))
+    assert not exhaustive_equiv(f, DenseFunction(d.level, other, d.index))
