@@ -182,7 +182,7 @@ def measure_distribution(
     histogram: dict[str, int] = {}
     for _ in range(shots):
         assignment = sample(squared, rng)
-        row_bits = "".join(str(b) for b in assignment[0::2])
+        row_bits = "".join(map(str, assignment[0::2]))
         histogram[row_bits] = histogram.get(row_bits, 0) + 1
     return histogram
 

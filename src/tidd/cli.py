@@ -92,7 +92,7 @@ def _cmd_sample(args) -> int:
     rng = Random(args.seed)
     histogram: dict[str, int] = {}
     for _ in range(args.shots):
-        bits = "".join(str(b) for b in draw_sample(t, rng))
+        bits = "".join(map(str, draw_sample(t, rng)))
         histogram[bits] = histogram.get(bits, 0) + 1
     rows = sorted(histogram.items())
     if args.format == "json":

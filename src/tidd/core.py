@@ -109,10 +109,10 @@ COUNTERS = tuple(
         ("pair_product", "pair_cache"), ("apply", "apply_cache"),
         ("kronecker", "kron_cache"), ("matmul", "matmul_cache"),
         ("matmul_stack", "matmul_cache"), ("path_counts", "path_count_cache"),
-        ("span", "span_cache"),
+        ("span", "span_cache"), ("draw_plan", "draw_plan_cache"),
     )
 )
-PAIR_PRODUCT, APPLY, KRONECKER, MATMUL, MATMUL_STACK, PATH_COUNTS, SPAN = COUNTERS
+PAIR_PRODUCT, APPLY, KRONECKER, MATMUL, MATMUL_STACK, PATH_COUNTS, SPAN, DRAW_PLAN = COUNTERS
 
 
 class Manager:
@@ -132,6 +132,7 @@ class Manager:
         self.triple_sums: dict = {}
         self.path_count_cache: dict = {}
         self.span_cache: dict = {}
+        self.draw_plan_cache: dict = {}
         self.stats = {key: 0 for counter in COUNTERS for key in counter[:2]}
 
     def memo(self, counter: tuple[str, str, str], compute, *args):

@@ -8,9 +8,13 @@ an implementation that shares nothing but the scalar type.
 
 ``benchmark_run`` is the one exception: a package benchmark run, cached so
 that tests checking the same run simulate it once per session.
+``reference_sample`` is the sampler that ``analysis.sample`` replaced, kept
+so that tests can require the same draws from both.
 """
 
+from bisect import bisect_right
 from functools import cache
+from itertools import accumulate
 from random import Random
 
 from tidd import Manager, Value, as_value
@@ -157,6 +161,45 @@ def tv_distance(histogram, exact_probs, shots):
     return 0.5 * sum(
         abs(histogram.get(k, 0) / shots - exact_probs.get(k, 0.0)) for k in keys
     )
+
+
+def reference_sample(f, rng):
+    """The depth-first sampler that ``analysis.sample`` replaced, kept as its
+    draw reference.
+
+    It builds each state's incoming (a, b) pairs with cumulative weights
+    pathcount(a) * pathcount(b) from the tables, draws the top state by
+    weight V(q) * pathcount(q), then one ``rng.randrange`` per visited state
+    and per DontCare leaf, left subtree before right.
+    """
+    layers = f.top.stack()
+    counts = [(1, 1) if layers[0].num_states == 2 else (2,)]
+    incoming = [()]
+    for layer in layers[1:]:
+        below = counts[-1]
+        pairs = [[] for _ in range(layer.num_states)]
+        cums = [[] for _ in range(layer.num_states)]
+        for a, row in enumerate(layer.table):
+            for b, q in enumerate(row):
+                cums[q].append((cums[q][-1] if cums[q] else 0) + below[a] * below[b])
+                pairs[q].append((a, b))
+        counts.append(tuple(cum[-1] for cum in cums))
+        incoming.append(tuple(zip(pairs, cums)))
+    k = max(v.k for v in f.values)
+    weights = [(v.fixed_point() << (k - v.k)) * c for v, c in zip(f.values, counts[-1])]
+    top = list(accumulate(weights))
+    out = []
+    pending = [(f.level, bisect_right(top, rng.randrange(top[-1])))]
+    while pending:
+        level, state = pending.pop()
+        if level == 0:
+            out.append(state if len(counts[0]) == 2 else rng.randrange(2))
+            continue
+        pairs, cum = incoming[level][state]
+        a, b = pairs[bisect_right(cum, rng.randrange(cum[-1]))]
+        pending.append((level - 1, b))
+        pending.append((level - 1, a))
+    return tuple(out)
 
 
 def _merged_sum(triples):

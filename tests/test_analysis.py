@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -11,6 +12,7 @@ from tidd import (
     ONE,
     Manager,
     Value,
+    anti_diagonal,
     constant,
     equality_relation,
     hadamard_family,
@@ -19,7 +21,7 @@ from tidd import (
     sample,
     top_path_counts,
 )
-from tidd.analysis import layer_index, sample_weights
+from tidd.analysis import draw_plan, sample_weights
 from tidd.bench import run_benchmark
 from tidd.core import evaluate
 from tidd.errors import NegativeWeight, ZeroDistribution
@@ -27,7 +29,7 @@ from tidd.builders import from_truth_table
 from tidd.ops import apply
 from tidd.values import TIMES
 
-from helpers import bits_of, random_truth_table, tv_distance
+from helpers import benchmark_run, bits_of, random_truth_table, reference_sample, tv_distance
 
 
 def brute_force_counts(f):
@@ -98,24 +100,74 @@ def test_index_lists_every_incoming_pair_with_brute_force_weights(mgr):
     ]
     state, _ = run_benchmark(mgr, "bv", 8, seed=0)
     subjects.append(apply(TIMES, state.t.t, state.t.t))
+    subjects.append(constant(mgr, 2, 3))  # DontCare leaves
     for f in subjects:
-        counts, levels = layer_index(f.top)
         expected = brute_force_counts(f)
-        assert counts == expected
-        assert levels[0] == ()
-        for layer in f.top.stack()[1:]:
+        assert path_counts(f) == expected
+        layers = f.top.stack()
+        nodes = draw_plan(f.top)
+        first, start = {}, 0  # node id of state 0, per level, top level first
+        for layer in reversed(layers[1:]):
+            first[layer.level] = start
+            start += layer.num_states
+        assert len(nodes) == start
+        for layer in layers[1:]:
             below = expected[layer.level - 1]
-            index = levels[layer.level]
-            assert len(index) == layer.num_states
-            for q, (pairs, cums) in enumerate(index):
-                assert pairs == tuple(
+            for q in range(layer.num_states):
+                cums, total, k, children, leaves = nodes[first[layer.level] + q]
+                pairs = tuple(
                     (a, b)
                     for a, row in enumerate(layer.table)
                     for b, entry in enumerate(row)
                     if entry == q
                 )
+                if layer.level == 1:
+                    assert (children, leaves) == (pairs, layers[0].num_states)
+                else:
+                    child = first[layer.level - 1]
+                    assert children == tuple((child + b, child + a) for a, b in pairs)
+                    assert leaves == 0
                 assert cums == tuple(accumulate(below[a] * below[b] for a, b in pairs))
-                assert cums[-1] == expected[layer.level][q]
+                assert total == cums[-1] == expected[layer.level][q]
+                assert k == total.bit_length()
+
+
+def test_sample_draws_what_the_reference_sampler_draws(mgr):
+    squares = [benchmark_run("ghz", 64, 0)[0].t.t, benchmark_run("bv", 16, 0)[0].t.t]
+    squares.append(anti_diagonal(mgr, 4))
+    subjects = [apply(TIMES, f, f) for f in squares]
+    subjects += [
+        projection(mgr, 0, 0),  # level-0 Fork
+        constant(mgr, 0, 3),  # level-0 DontCare
+        equality_relation(mgr, 1),  # level-1 top
+        constant(mgr, 3, 2),  # DontCare leaves
+    ]
+    assert [f.level for f in subjects] == [7, 5, 4, 0, 0, 1, 3]
+    for f in subjects:
+        for seed in (0, 1, 2):
+            rng, ref = Random(seed), Random(seed)
+            assert [sample(f, rng) for _ in range(20)] == [
+                reference_sample(f, ref) for _ in range(20)
+            ]
+            assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 2**5, 2**5 - 1, 2**5 + 1, 2**64, 2**64 - 1, 2**64 + 1, 2**1024 + 3]
+)
+def test_inlined_draw_is_randrange(mgr, n):
+    # one plan node per top state of total n; each leaf pair names its index
+    f = equality_relation(mgr, 1)
+    cums = tuple(range(1, n + 1)) if n <= 33 else (n // 3, n // 2, n - 1, n)
+    node = (cums, n, n.bit_length(), tuple((i, i) for i in range(len(cums))), 2)
+    mgr.draw_plan_cache[f.top,] = (node,) * f.top.num_states
+    weights = sample_weights(f)
+    for seed in range(8):
+        rng, ref = Random(seed), Random(seed)
+        ref.randrange(sum(weights))
+        i = bisect_right(cums, ref.randrange(n))
+        assert sample(f, rng) == (i, i)
+        assert rng.getstate() == ref.getstate()
 
 
 def test_sample_eq_always_satisfying(mgr):
