@@ -1,27 +1,22 @@
 """Path counting and weighted sampling.
 
 The path count of a state q is the number of fixed-length bit strings whose
-assignment trees drive the automaton to q.  Counts are arbitrary-precision:
-at level l the top counts partition 2**(2**l), which exceeds machine words
-at l >= 6.
+assignment trees drive the automaton to q.  Counts are arbitrary-precision
+(the top counts at level l partition 2**(2**l)) and take one pass per table,
+cached per top layer: level-0 Fork states count 1 each, a DontCare counts 2,
+and a state above counts pathcount(a) * pathcount(b) over its incoming
+(a, b) transitions (canonical tables have no gaps, so every count is positive).
 
-Sampling draws an assignment with probability proportional to its value: a
-top state is drawn by weight W(q) = V(q) * pathcount(q), then one incoming
-transition per level, then uniform bits at DontCare leaves.  Draws against
-irrational exact weights use fixed-point approximations of the cumulative
-weights, with ``values.FIXED_POINT_BITS`` (128) mantissa bits over one common
-denominator; sign checks stay exact.
-
-Each rests on its own product per top layer, cached on the manager.  Path
-counts take one pass per table and build nothing else: level-0 Fork states
-count 1 each, a DontCare counts 2, and a state above counts pathcount(a) *
-pathcount(b) over its incoming (a, b) transitions (canonical tables have no
-gaps, so every count is positive).  The draw plan, built on a layer's first
-``sample``, is one flat tuple of nodes, one per state at levels >= 1, top
-level first, so top state q is node q.  A node holds the cumulative weights
-of its incoming transitions, their total and its bit length, the child node
-ids of each transition in push order (b, a), or its two leaf bits at level 1,
-and the leaf layer's state count at level 1 (0 above).
+Sampling draws an assignment with probability proportional to its value by
+walking the diagram's draw plan, a flat tuple of nodes built on its first
+``sample`` and cached per diagram.  A node holds cumulative weights, their
+total and its bit length, one child entry per weight, and whether the entries
+are output bits rather than node ids to push (right before left).  Node 0
+draws the top state q by W(q) = V(q) * pathcount(q), node 1 a DontCare bit,
+and node 2 + i an incoming transition of the i-th state at levels >= 1, top
+level first.  Fork bits are output; each DontCare bit pushes node 1.  Top
+weights are fixed-point, with ``values.FIXED_POINT_BITS`` (128) mantissa bits
+over one common denominator; sign checks stay exact.
 """
 
 from __future__ import annotations
@@ -34,8 +29,10 @@ from .core import DRAW_PLAN, PATH_COUNTS, Layer, Manager, Tidd
 from .errors import NegativeWeight, ZeroDistribution
 
 PathCountAnnotation = tuple[tuple[int, ...], ...]
-# (cumulative weights, total, total.bit_length(), children, leaf states)
-PlanNode = tuple[tuple[int, ...], int, int, tuple[tuple[int, int], ...], int]
+# (cumulative weights, total, total.bit_length(), children, children are bits)
+PlanNode = tuple[tuple[int, ...], int, int, tuple[tuple[int, ...], ...], bool]
+# node 1: one DontCare bit, drawn as rng.randrange(2) draws it
+UNIFORM_BIT: PlanNode = ((1, 2), 2, 2, ((0,), (1,)), True)
 
 
 def layer_path_counts(top: Layer) -> PathCountAnnotation:
@@ -56,31 +53,6 @@ def _path_counts(mgr: Manager, top: Layer) -> PathCountAnnotation:
     return tuple(per_level)
 
 
-def draw_plan(top: Layer) -> tuple[PlanNode, ...]:
-    """The draw plan of a level >= 1 top layer, cached on the manager."""
-    return top.manager.memo(DRAW_PLAN, _draw_plan, top)
-
-
-def _draw_plan(mgr: Manager, top: Layer) -> tuple[PlanNode, ...]:
-    counts = layer_path_counts(top)
-    leaf_states = len(counts[0])
-    nodes: list[PlanNode] = []
-    for layer in reversed(top.stack()[1:]):
-        below = counts[layer.level - 1]
-        child = len(nodes) + layer.num_states  # node id of state 0 one level down
-        leaves = leaf_states if layer.level == 1 else 0
-        children: list[list[tuple[int, int]]] = [[] for _ in range(layer.num_states)]
-        weights: list[list[int]] = [[] for _ in range(layer.num_states)]
-        for a, row in enumerate(layer.table):
-            for b, q in enumerate(row):
-                children[q].append((a, b) if leaves else (child + b, child + a))
-                weights[q].append(below[a] * below[b])
-        for pairs, ws in zip(children, weights):
-            cums = tuple(accumulate(ws))
-            nodes.append((cums, cums[-1], cums[-1].bit_length(), tuple(pairs), leaves))
-    return tuple(nodes)
-
-
 def path_counts(f: Tidd) -> PathCountAnnotation:
     """Exact |assignments reaching each state|, per level; top sums to 2**(2**l)."""
     return layer_path_counts(f.top)
@@ -97,49 +69,75 @@ def sample_weights(f: Tidd) -> list[int]:
     largest top-value exponent.  Raises NegativeWeight if any top value is
     exactly negative.
     """
-    counts = top_path_counts(f)
-    k = max(v.k for v in f.values)
+    return _weights(f.values, top_path_counts(f))
+
+
+def _weights(values, counts) -> list[int]:
+    k = max(v.k for v in values)
     weights = []
-    for v, c in zip(f.values, counts):
+    for v, c in zip(values, counts):
         if v.sign() < 0:
             raise NegativeWeight(f"top value {v!r} is negative")
         weights.append((v.fixed_point() << (k - v.k)) * c)
     return weights
 
 
+def draw_plan(f: Tidd) -> tuple[PlanNode, ...]:
+    """The draw plan of a diagram, cached on the manager.
+
+    Raises NegativeWeight or ZeroDistribution, on every call, for a diagram
+    that ``sample`` cannot draw from.
+    """
+    return f.manager.memo(DRAW_PLAN, _draw_plan, f)
+
+
+def _draw_plan(mgr: Manager, f: Tidd) -> tuple[PlanNode, ...]:
+    counts = layer_path_counts(f.top)
+    weights = _weights(f.values, counts[-1])
+    if not any(weights):
+        raise ZeroDistribution("all top-state weights are zero")
+    fork = len(counts[0]) == 2
+
+    def node(ws, picks, child) -> PlanNode:
+        """A draw over ``picks``, tuples of states one level down, left first;
+        ``child`` is the node id of state 0 there, None at level 0."""
+        if child is not None:
+            picks = [tuple(child + s for s in reversed(p)) for p in picks]
+        elif not fork:
+            picks = [(1,) * len(p) for p in picks]
+        cums = tuple(accumulate(ws))
+        return cums, cums[-1], cums[-1].bit_length(), tuple(picks), child is None and fork
+
+    nodes = [node(weights, [(q,) for q in range(len(weights))], 2 if f.level else None)]
+    nodes.append(UNIFORM_BIT)
+    for layer in reversed(f.top.stack()[1:]):
+        below = counts[layer.level - 1]
+        child = len(nodes) + layer.num_states if layer.level > 1 else None
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(layer.num_states)]
+        for a, row in enumerate(layer.table):
+            for b, q in enumerate(row):
+                pairs[q].append((a, b))
+        nodes += [node([below[a] * below[b] for a, b in p], p, child) for p in pairs]
+    return tuple(nodes)
+
+
 def sample(f: Tidd, rng: Random) -> tuple[int, ...]:
     """Draw one assignment with probability proportional to its value.
 
-    Depth first, left subtree before right: one draw per visited state, over
-    its incoming transitions, then one bit per DontCare leaf.  Each draw
-    below the top is ``rng.randrange(total)`` inlined as CPython 3.10-3.13
+    Walks the draw plan from node 0, depth first, left subtree before right.
+    Each node's draw is ``rng.randrange(total)`` inlined as CPython 3.10-3.13
     runs it for a ``Random``: ``getrandbits(total.bit_length())`` until the
     value is below the total, so the draws match that call's bit for bit.
     """
-    weights = sample_weights(f)
-    if not any(weights):
-        raise ZeroDistribution("all top-state weights are zero")
-    cum = list(accumulate(weights))
-    top = bisect_right(cum, rng.randrange(cum[-1]))
-    if f.level == 0:
-        return (top if f.top.num_states == 2 else rng.randrange(2),)
-    nodes = draw_plan(f.top)
-    getrandbits, randrange = rng.getrandbits, rng.randrange
+    nodes = draw_plan(f)
+    getrandbits = rng.getrandbits
     out: list[int] = []
-    leaf_bits, append = out.extend, out.append
-    pending = [top]
-    pop, push = pending.pop, pending.extend
+    pending = [0]
+    pop, push, emit = pending.pop, pending.extend, out.extend
     while pending:
-        cums, total, k, children, leaves = nodes[pop()]
+        cums, total, k, children, bits = nodes[pop()]
         r = getrandbits(k)
         while r >= total:
             r = getrandbits(k)
-        pair = children[bisect_right(cums, r)]
-        if not leaves:
-            push(pair)
-        elif leaves == 2:
-            leaf_bits(pair)
-        else:
-            append(randrange(2))
-            append(randrange(2))
+        (emit if bits else push)(children[bisect_right(cums, r)])
     return tuple(out)

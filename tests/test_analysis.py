@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tidd import (
     ONE,
     Manager,
+    Tidd,
     Value,
     anti_diagonal,
     constant,
@@ -101,32 +102,50 @@ def test_index_lists_every_incoming_pair_with_brute_force_weights(mgr):
     state, _ = run_benchmark(mgr, "bv", 8, seed=0)
     subjects.append(apply(TIMES, state.t.t, state.t.t))
     subjects.append(constant(mgr, 2, 3))  # DontCare leaves
+    subjects += [projection(mgr, 0, 0), constant(mgr, 0, 3)]  # level-0 tops
     for f in subjects:
+        if any(v.sign() < 0 for v in f.values):  # same tables, drawable values
+            f = Tidd(f.top, tuple(Value(i + 1, 0) for i in range(len(f.values))))
         expected = brute_force_counts(f)
         assert path_counts(f) == expected
         layers = f.top.stack()
-        nodes = draw_plan(f.top)
-        first, start = {}, 0  # node id of state 0, per level, top level first
+        fork = layers[0].num_states == 2
+        nodes = draw_plan(f)
+        # node 0 draws the top state, node 1 a DontCare bit, then one node
+        # per state at levels >= 1, top level first
+        first, start = {}, 2  # node id of state 0, per level
         for layer in reversed(layers[1:]):
             first[layer.level] = start
             start += layer.num_states
         assert len(nodes) == start
+        cums, total, k, children, bits = nodes[0]
+        assert cums == tuple(accumulate(sample_weights(f)))
+        assert total == cums[-1] and k == total.bit_length()
+        if f.level:
+            assert (children, bits) == (tuple((2 + q,) for q in range(len(cums))), False)
+        elif fork:
+            assert (children, bits) == (((0,), (1,)), True)
+        else:
+            assert (children, bits) == (((1,),), False)
+        assert nodes[1] == ((1, 2), 2, 2, ((0,), (1,)), True)
         for layer in layers[1:]:
             below = expected[layer.level - 1]
             for q in range(layer.num_states):
-                cums, total, k, children, leaves = nodes[first[layer.level] + q]
+                cums, total, k, children, bits = nodes[first[layer.level] + q]
                 pairs = tuple(
                     (a, b)
                     for a, row in enumerate(layer.table)
                     for b, entry in enumerate(row)
                     if entry == q
                 )
-                if layer.level == 1:
-                    assert (children, leaves) == (pairs, layers[0].num_states)
-                else:
+                if layer.level > 1:
                     child = first[layer.level - 1]
                     assert children == tuple((child + b, child + a) for a, b in pairs)
-                    assert leaves == 0
+                    assert bits is False
+                elif fork:
+                    assert (children, bits) == (pairs, True)
+                else:
+                    assert (children, bits) == (((1, 1),) * len(pairs), False)
                 assert cums == tuple(accumulate(below[a] * below[b] for a, b in pairs))
                 assert total == cums[-1] == expected[layer.level][q]
                 assert k == total.bit_length()
@@ -152,19 +171,29 @@ def test_sample_draws_what_the_reference_sampler_draws(mgr):
             assert rng.getstate() == ref.getstate()
 
 
+def test_diagrams_sharing_a_top_layer_draw_by_their_own_values(mgr):
+    f = from_truth_table(mgr, 1, [1, 2, 2, 2])
+    g = from_truth_table(mgr, 1, [2, 1, 1, 1])
+    assert f.top is g.top and f.values != g.values
+    for seed in (0, 1, 2):
+        rng, ref = Random(seed), Random(seed)
+        for _ in range(20):
+            for h in (f, g):
+                assert sample(h, rng) == reference_sample(h, ref)
+        assert rng.getstate() == ref.getstate()
+
+
 @pytest.mark.parametrize(
     "n", [1, 2, 3, 2**5, 2**5 - 1, 2**5 + 1, 2**64, 2**64 - 1, 2**64 + 1, 2**1024 + 3]
 )
 def test_inlined_draw_is_randrange(mgr, n):
-    # one plan node per top state of total n; each leaf pair names its index
+    # a root of total n whose entry i outputs the bits (i, i)
     f = equality_relation(mgr, 1)
     cums = tuple(range(1, n + 1)) if n <= 33 else (n // 3, n // 2, n - 1, n)
-    node = (cums, n, n.bit_length(), tuple((i, i) for i in range(len(cums))), 2)
-    mgr.draw_plan_cache[f.top,] = (node,) * f.top.num_states
-    weights = sample_weights(f)
+    node = (cums, n, n.bit_length(), tuple((i, i) for i in range(len(cums))), True)
+    mgr.draw_plan_cache[f,] = (node,)
     for seed in range(8):
         rng, ref = Random(seed), Random(seed)
-        ref.randrange(sum(weights))
         i = bisect_right(cums, ref.randrange(n))
         assert sample(f, rng) == (i, i)
         assert rng.getstate() == ref.getstate()
@@ -222,8 +251,10 @@ def test_sample_negative_weight_rejected(mgr):
 
 def test_sample_zero_distribution(mgr):
     f = constant(mgr, 2, 0)
-    with pytest.raises(ZeroDistribution):
-        sample(f, Random(21))
+    for _ in range(2):  # a raising plan build is not cached, so it raises again
+        with pytest.raises(ZeroDistribution):
+            sample(f, Random(21))
+    assert mgr.draw_plan_cache == {}
 
 
 def test_sample_irrational_weights(mgr):
