@@ -13,21 +13,22 @@ states q and p reached on the row/inner and inner/column halves of a block,
 with w counting the inner-index bit patterns that realize the pair.  A cell
 has one triple per inner bit at level 1, and above one (ta[qa][qb],
 tb[pa][pb], wa * wb) per pair of triples of its (left, right) child sums.
-A cell's sum is its live triples (below), sorted, with the weights of equal
-pairs added: its (q, p) pairs strictly increase, which makes it canonical.
+A sum is canonical when its (q, p) pairs strictly increase.  A cell of at
+most one live triple (below) is so as built; two with distinct pairs are
+ordered by one comparison.  Only at level 1, on a repeated pair, or with
+three triples or more are they sorted and the weights of equal pairs added.
 
-An operand state is dead when every context of it reaches a top value of 0.
-Dead states are found top-down: a top state is dead when its value is 0, a
-state below when every entry of its table row and table column is dead.  A
-canonical diagram has at most one per level, since two would have equal
-rows and columns.  A triple naming a dead state of either operand adds 0 to
-every entry, so every level, level 1 included, leaves it out; an empty sum
-is a state of value 0.  This keeps the sums short: at most two triples on
-the BV and GHZ circuits.  The product stack is memoized on (a layer,
-b layer, dead a-states, dead b-states) at each level; the dead states below
-follow from these, so the key is complete.  At the top each sum resolves to
-sum(V(q) * V(p) * w) and the standard reduction finishes.  Weights are
-arbitrary-precision: inner dimensions reach 2**n.
+An operand state is dead when every context of it reaches a top value of 0:
+a top state whose value is 0, or a state below whose table row and column
+hold only dead states.  A canonical diagram has at most one per level, since
+two would have equal rows and columns.  A triple naming a dead state adds 0
+to every entry, so every level leaves it out; an empty sum is a state of
+value 0, and on the BV and GHZ circuits a sum holds at most two triples.
+The product stack is memoized on (a layer, b layer, dead a-states, dead
+b-states); the dead states below follow from these, so the key is complete.
+At the top each sum resolves to sum(V(q) * V(p) * w) and the standard
+reduction finishes.  Weights are arbitrary-precision: inner dimensions
+reach 2**n.
 """
 
 from __future__ import annotations
@@ -152,17 +153,10 @@ def _dead_top(f: Tidd) -> tuple[int, ...]:
 
 
 def _dead_below(layer: Layer, dead: tuple[int, ...]) -> tuple[int, ...]:
-    """The dead states of ``layer``'s child, given the dead states of ``layer``.
-
-    A child state is dead when every entry of its table row and of its table
-    column is dead.
-    """
+    """The dead states of ``layer``'s child, given the dead states of ``layer``."""
     table = layer.table
-    return tuple(
-        s
-        for s, row in enumerate(table)
-        if all(e in dead for e in row) and all(r[s] in dead for r in table)
-    )
+    return tuple(s for s, row in enumerate(table)
+                 if all(e in dead for e in row) and all(r[s] in dead for r in table))
 
 
 def _product_stack(
@@ -170,35 +164,43 @@ def _product_stack(
 ) -> tuple[Layer, tuple[TripleSum, ...]]:
     """Product stack for two operand stacks, memoized on layers and dead states.
 
-    ``dead_a`` and ``dead_b`` are the dead states of ``a`` and ``b``.
-    Returns the product layer at the operands' level plus the formal sum
-    tracked by each of its states.  ``matmul`` reads the top pair under
-    MATMUL, and each stack reads its child pair under MATMUL_STACK.
+    ``dead_a`` and ``dead_b`` are the dead states of ``a`` and ``b``.  Returns
+    the product layer at their level and each state's formal sum; cells stream,
+    canonical as built, into ``Manager.intern_cells``.  ``matmul`` reads the top
+    pair under MATMUL, and each stack reads its child pair under MATMUL_STACK.
     """
     ta, tb = a.table, b.table
-    # a cell lists its live triples; ``for q, p in [...]`` binds a triple's states
     if a.level == 1:
         # the level-0 states bits 0 and 1 reach; a DontCare's one state serves both
-        sa = (0, a.child.num_states - 1)
-        sb = (0, b.child.num_states - 1)
+        sa, sb = (0, a.child.num_states - 1), (0, b.child.num_states - 1)
         child = mgr.fork()
-        cells = (
+        cells = map(merge_triples, (  # ``for q, p in [...]`` binds a triple's states
             [(q, p, 1) for k in range(2) for q, p in [(ta[sa[i]][sa[k]], tb[sb[k]][sb[j]])]
              if q not in dead_a and p not in dead_b]
-            for i in range(2)
-            for j in range(2)
-        )
+            for i in range(2) for j in range(2)
+        ))
     else:
         dead = (_dead_below(a, dead_a), _dead_below(b, dead_b))
         child, child_sums = mgr.memo(MATMUL_STACK, _product_stack, a.child, b.child, *dead)
-        cells = (
-            [(q, p, wa * wb) for qa, pa, wa in left for qb, pb, wb in right
-             for q, p in [(ta[qa][qb], tb[pa][pb])] if q not in dead_a and p not in dead_b]
-            for left in child_sums
-            for right in child_sums
-        )
-    layer, keys = mgr.intern_cells(child, (merge_triples(cell) for cell in cells))
+        cells = _cells(ta, tb, dead_a, dead_b, child_sums)
+    layer, keys = mgr.intern_cells(child, cells)
     return layer, tuple(mgr.triple_sums.setdefault(s, s) for s in keys)
+
+
+def _cells(ta, tb, dead_a, dead_b, child_sums):
+    """The canonical cells of a product layer above level 1, row-major."""
+    for rows in ([(ta[qa], tb[pa], wa) for qa, pa, wa in left] for left in child_sums):
+        for right in child_sums:
+            cell = []
+            for ra, rb, wa in rows:
+                for qb, pb, wb in right:
+                    q, p = ra[qb], rb[pb]
+                    if q not in dead_a and p not in dead_b:
+                        cell.append((q, p, wa * wb))
+            if len(cell) == 2 and cell[0][:2] != cell[1][:2]:
+                yield (cell[0], cell[1]) if cell[0] < cell[1] else (cell[1], cell[0])
+            else:
+                yield tuple(cell) if len(cell) < 2 else merge_triples(cell)
 
 
 def matmul(a: MatrixTidd, b: MatrixTidd) -> MatrixTidd:
@@ -225,9 +227,7 @@ def vector_norm_squared(v: VectorTidd) -> Value:
     """Exact sum of squared amplitudes, via path counts of the squared diagram."""
     squared = apply(TIMES, v.t.t, v.t.t)
     counts = top_path_counts(squared)
-    total = ZERO
-    for value, count in zip(squared.values, counts):
-        total = total + value.scale_int(count)
+    total = sum((value.scale_int(count) for value, count in zip(squared.values, counts)), ZERO)
     # every row value is replicated across 2**n columns
     return total.div_pow2(v.qubits)
 

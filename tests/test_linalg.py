@@ -23,7 +23,9 @@ from tidd import (
     scalar_multiply,
     vector_from_basis_state,
 )
-from tidd.bench import bv_circuit, bv_secret, gate_matrix, ghz_circuit, run_benchmark
+from tidd.bench import (
+    bv_circuit, bv_secret, dj_circuit, gate_matrix, ghz_circuit, run_benchmark,
+)
 from tidd.builders import constant, from_truth_table
 from tidd.core import MATMUL_STACK, Manager, dump
 from tidd.errors import OracleScaleLimit, ShapeMismatch, ValueDomainError
@@ -222,15 +224,21 @@ def random_local_sum(mgr, rng, qubits):
     return qubit_sum(mgr, qubits, terms, (1, 0, 0, 1))
 
 
-def test_product_stack_matches_reference_on_random_matrices(mgr):
+def random_operand_pairs(mgr):
+    """Random matrix pairs of 1 to 8 qubits, each in both orders."""
     rng = Random(43)
     for qubits in (1, 2, 4, 8):
         for _ in range(6):
             make = random_local_sum if qubits == 8 else random_matrix
             a = make(mgr, rng, qubits)
             b = make(mgr, rng, qubits)
-            assert_stack_matches_reference(a.t, b.t)
-            assert_stack_matches_reference(b.t, a.t)
+            yield a.t, b.t
+            yield b.t, a.t
+
+
+def test_product_stack_matches_reference_on_random_matrices(mgr):
+    for f, g in random_operand_pairs(mgr):
+        assert_stack_matches_reference(f, g)
 
 
 def test_product_stack_matches_reference_on_sums_with_equal_pairs(mgr):
@@ -245,19 +253,65 @@ def test_product_stack_matches_reference_on_sums_with_equal_pairs(mgr):
         assert_stack_matches_reference(ones, a)
 
 
-def circuit_operand_pairs(mgr, algo):
-    """The (gate matrix, state) operand diagrams of an 8-qubit circuit, in order."""
-    gates = bv_circuit(8, bv_secret(8, 0)) if algo == "bv" else ghz_circuit(8)
-    state = vector_from_basis_state(mgr, 8, (0,) * 8)
+def cell_branches(f, g):
+    """The branches of the cell kernel that the product cells of f, g take.
+
+    Each cell above level 1 lists its candidate (q, p) pairs in the kernel's
+    order, left child triple outer, from the reference child sums.
+    """
+    dead_f, dead_g = dead_states(f), dead_states(g)
+    levels = reference_product_stack(f.top, g.top, dead_f, dead_g)
+    branches = set()
+    for la, lb, (_, sums) in zip(f.top.stack()[2:], g.top.stack()[2:], levels):
+        dead_q, dead_p = dead_f[la.level], dead_g[lb.level]
+        for left in sums:
+            for right in sums:
+                pairs = [(la.table[qa][qb], lb.table[pa][pb])
+                         for qa, pa, _ in left for qb, pb, _ in right]
+                live = [(q, p) for q, p in pairs if q not in dead_q and p not in dead_p]
+                if len(pairs) == 2 and len(live) == 1:
+                    branches.add("one of two dead")
+                if len(live) == 2 and live[0] >= live[1]:
+                    branches.add("equal pair" if live[0] == live[1] else "descending pair")
+                if len(live) >= 3 and len(set(live)) < len(live):
+                    branches.add("repeat among three or more")
+    return branches
+
+
+@pytest.mark.parametrize(
+    "branch",
+    ["descending pair", "equal pair", "repeat among three or more", "one of two dead"],
+)
+def test_random_matrices_take_every_cell_branch(mgr, branch):
+    # the reference check above covers each branch of the cell kernel
+    assert any(branch in cell_branches(f, g) for f, g in random_operand_pairs(mgr))
+
+
+def circuit_operand_pairs(mgr, algo, qubits=8, seed=0):
+    """The (gate matrix, state) operand diagrams of a circuit, in order."""
+    gates = {
+        "bv": bv_circuit(qubits, bv_secret(qubits, seed)),
+        "dj": dj_circuit(qubits, "balanced", seed),
+        "ghz": ghz_circuit(qubits),
+    }[algo]
+    state = vector_from_basis_state(mgr, qubits, (0,) * qubits)
     for g in gates:
         matrix = gate_matrix(mgr, g)
         yield matrix.t, state.t.t
         state = matvec(matrix, state)
 
 
-@pytest.mark.parametrize("algo", ["bv", "ghz"])
-def test_product_stack_matches_reference_on_circuit_operands(mgr, algo):
-    for a, b in circuit_operand_pairs(mgr, algo):
+@pytest.mark.parametrize(
+    "algo, qubits, seed",
+    [
+        pytest.param("bv", 8, 0, id="bv"),
+        pytest.param("ghz", 8, 0, id="ghz"),
+        pytest.param("dj", 8, 1, id="dj-8-1"),
+        pytest.param("bv", 16, 0, id="bv-16"),  # the perfbench bv size
+    ],
+)
+def test_product_stack_matches_reference_on_circuit_operands(mgr, algo, qubits, seed):
+    for a, b in circuit_operand_pairs(mgr, algo, qubits, seed):
         assert_stack_matches_reference(a, b)
 
 
