@@ -34,6 +34,7 @@ _Z = (Value(1, 0), Value(0, 0), Value(0, 0), Value(-1, 0))
 _I = (Value(1, 0), Value(0, 0), Value(0, 0), Value(1, 0))
 _P0 = (Value(1, 0), Value(0, 0), Value(0, 0), Value(0, 0))  # |0><0|
 _P1 = (Value(0, 0), Value(0, 0), Value(0, 0), Value(1, 0))  # |1><1|
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a sampled bit b -> the digit b
 
 # kind -> terms; a term's entries go on the gate's targets in order, I elsewhere
 _TERMS = {
@@ -142,13 +143,7 @@ def run_circuit(
         state = matvec(matrix, state)
         max_size = max(max_size, size_metrics(state.t.t).total)
     final = size_metrics(state.t.t)
-    metrics = RunMetrics(
-        final_size=final,
-        max_intermediate_size=max_size,
-        wall_time=time.perf_counter() - start,
-        gate_count=len(gates),
-    )
-    return state, metrics
+    return state, RunMetrics(final, max_size, time.perf_counter() - start, len(gates))
 
 
 def run_benchmark(
@@ -167,9 +162,7 @@ def run_benchmark(
     return run_circuit(mgr, gates, initial)
 
 
-def measure_distribution(
-    state: VectorTidd, shots: int, rng: Random
-) -> dict[str, int]:
+def measure_distribution(state: VectorTidd, shots: int, rng: Random) -> dict[str, int]:
     """Sample measurement outcomes (row bit strings) from a state vector.
 
     The state is squared pointwise (real amplitudes, so no conjugation),
@@ -181,8 +174,7 @@ def measure_distribution(
     squared = apply(TIMES, state.t.t, state.t.t)
     histogram: dict[str, int] = {}
     for _ in range(shots):
-        assignment = sample(squared, rng)
-        row_bits = "".join(map(str, assignment[0::2]))
+        row_bits = bytes(sample(squared, rng)[0::2]).translate(_DIGITS).decode()
         histogram[row_bits] = histogram.get(row_bits, 0) + 1
     return histogram
 

@@ -13,8 +13,8 @@ layers are the *same* object and semantic equality of whole diagrams reduces
 to a handle comparison plus a value-tuple comparison.
 
 Concurrency: layers and diagrams are immutable and freely shareable between
-threads for reading, except that reduction fills in a layer's ``separates``
-once, always with the value its table fixes.  The interning and memo tables
+threads for reading, except that reduction replaces a layer's ``reduced``
+tuple, whose result always fits its classes.  The interning and memo tables
 live on the manager and are not synchronized; mutating operations on one
 manager must be externally serialized.  One manager per process is the
 default.  Every operation cache is read, counted and filled through one
@@ -42,11 +42,11 @@ class Layer:
     state b * (num_states - 1): a Fork has two states, a DontCare one.  A
     layer at level >= 1 references its child layer plus a square transition
     table ``table[a][b]`` mapping child-state pairs to parent states, stored
-    row-major in first-occurrence canonical order.  ``separates`` is None, or
-    whether the table separates its child states, once reduction learns it.
+    row-major in first-occurrence canonical order.  ``reduced`` is None, or
+    its last reduction below a top: ``(classes, new layer, child classes)``.
     """
 
-    __slots__ = ("manager", "level", "child", "table", "num_states", "separates")
+    __slots__ = ("manager", "level", "child", "table", "num_states", "reduced")
 
     def __init__(self, manager, level, child, table, num_states):
         self.manager = manager
@@ -54,7 +54,7 @@ class Layer:
         self.child = child          # Layer or None
         self.table = table          # Table or None
         self.num_states = num_states
-        self.separates = None
+        self.reduced = None
 
     def is_leaf(self) -> bool:
         return self.level == 0

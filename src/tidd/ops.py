@@ -10,17 +10,22 @@ classes at level i are fully determined by the classes at level i+1 (every
 context of a level-i state factors through level i+1), so no fixpoint
 iteration is needed.  Products and reduction number states only through
 ``core.first_occurrence``; the bottom-up rebuild needs no renumbering.
+Below the top, a layer's reduction depends on its classes alone, so each
+layer keeps its last one in its ``reduced`` slot, which the next product
+stack over that layer reads if its classes match.
 
 A tensor product is a pair product under one fixed top table.  With one
 table per level shared by every block position, each lower level must pair
 the two operands' states; that pairing is the price of hierarchy alone.
+Its top cells are numbered by product value, which leaves nothing to reduce
+unless an operand is the zero function.
 """
 
 from __future__ import annotations
 
 from .core import APPLY, KRONECKER, PAIR_PRODUCT, Layer, Manager, Tidd, first_occurrence
 from .errors import ArityMismatch, LevelMismatch
-from .values import BinaryOp, Value, as_value
+from .values import ZERO, BinaryOp, Value, as_value
 
 PairMeta = tuple[tuple[int, int], ...]
 
@@ -66,56 +71,50 @@ def reduce_stack(top: Layer, top_classes) -> tuple[Layer, list[tuple[int, ...]]]
     Returns the new top layer and, per level from 0 up, the map old state
     index -> new state index, which is the class numbering itself.
     """
-    layers = top.stack()
-    level = top.level
-
-    # top-down: classes per level, numbered by first occurrence, and each
-    # state's mapped row; singleton classes make a level's class map the
-    # identity.  Under identity above, the mapped table is the table, whose
-    # classes are singletons iff it separates its child states: learned once.
-    class_of: list[tuple[int, ...]] = [()] * (level + 1)
-    class_of[level] = tuple(top_classes)
+    layers, level = top.stack(), top.level
+    class_of: list[tuple[int, ...]] = [()] * level + [tuple(top_classes)]
     if len(class_of[level]) != top.num_states:
         raise ArityMismatch(f"{len(class_of[level])} classes for {top.num_states} top states")
-    mapped_rows: list = [()] * level
-    identity = [False] * (level + 1)
-    identity[level] = class_of[level] == tuple(range(top.num_states))
-    for i in range(level - 1, -1, -1):
-        above, side = layers[i + 1], layers[i].num_states
-        if identity[i + 1] and above.separates:
-            class_of[i], mapped_rows[i], identity[i] = tuple(range(side)), above.table, True
-            continue
-        class_above = class_of[i + 1].__getitem__
-        mapped = mapped_rows[i] = [tuple(map(class_above, row)) for row in above.table]
-        # state q's signature: its mapped row and its mapped column
-        class_of[i], signatures = first_occurrence(zip(mapped, zip(*mapped)))
-        identity[i] = len(signatures) == side
-        if identity[i + 1]:
-            above.separates = identity[i]
 
-    # bottom-up rebuild.  New child state C is class C below, and row C of
-    # the new table is C's mapped row read at one member of each class: the
-    # members of a class share their mapped column.  No renumbering is
-    # needed.  In the old, canonical table, the first state of class E
-    # first appears before E's other states, in the row and column of first
-    # states (an earlier member of either class would hold E earlier).
-    # First states increase with their class, so the new table scans its
-    # cells in the order of those old cells, and E first appears before
-    # E + 1.  A level with identity classes over an unchanged child keeps
-    # its layer, which intern_layer would return anyway.
+    # top-down: classes per level number the states' (mapped row, mapped
+    # column) signatures by first occurrence.  A layer below the top whose
+    # ``reduced`` slot holds its classes hands down the child classes stored
+    # there, and the highest such layer's stored result fixes all below it.
+    mapped_rows: list = [()] * (level + 1)
+    start, new_layer = 0, None
+    for i in range(level, 0, -1):
+        slot = layers[i].reduced
+        if i < level and slot is not None and slot[0] == class_of[i]:
+            class_of[i - 1] = slot[2]
+            if new_layer is None:
+                start, new_layer = i, slot[1]
+            continue
+        class_above = class_of[i].__getitem__
+        mapped = mapped_rows[i] = [tuple(map(class_above, row)) for row in layers[i].table]
+        class_of[i - 1], _ = first_occurrence(zip(mapped, zip(*mapped)))
+
+    # bottom-up rebuild above that layer.  New child state C is class C
+    # below, and row C of the new table is C's mapped row read at one member
+    # of each class: members share their mapped column.  No renumbering is
+    # needed: in the old, canonical table, the first state of class E first
+    # appears before E's other states, in the row and column of first states
+    # (an earlier member of either class would hold E earlier), and first
+    # states increase with their class, so the new table scans its cells in
+    # the order of those old cells and E first appears before E + 1.  A
+    # rebuilt table equal to the old one over the same child keeps its layer.
     mgr = top.manager
-    unchanged = True  # every level so far kept its layer
-    for i, layer in enumerate(layers):
-        unchanged = unchanged and identity[i]
-        if unchanged:
-            new_layer = layer
-        elif i == 0:  # the two Fork states merged
-            new_layer = mgr.dontcare()
-        else:
-            # one member per class, in class order: keys keep first insertion
-            members = {c: q for q, c in enumerate(class_of[i - 1])}.values()
-            rows = [tuple(map(mapped_rows[i - 1][q].__getitem__, members)) for q in members]
-            new_layer = mgr.intern_layer(new_layer, rows)
+    if new_layer is None:  # the two Fork states merge unless told apart
+        new_layer = mgr.fork() if class_of[0] == (0, 1) else mgr.dontcare()
+    for i in range(start + 1, level + 1):
+        layer, below = layers[i], class_of[i - 1]
+        # one member per class, in class order: keys keep first insertion
+        members = {c: q for q, c in enumerate(below)}.values()
+        rows = tuple(tuple(map(mapped_rows[i][q].__getitem__, members)) for q in members)
+        if new_layer is not layer.child or rows != layer.table:
+            layer = mgr.intern_layer(new_layer, rows)
+        if i < level:
+            layers[i].reduced = (class_of[i], layer, below)
+        new_layer = layer
     return new_layer, class_of
 
 
@@ -155,9 +154,14 @@ def kronecker(a: Tidd, b: Tidd) -> Tidd:
     """Tensor product: the result evaluates on w||w' to a(w) * b(w').
 
     The levels below the top are ``pair_product(a.top, b.top)``, whose
-    shared tables track both operands at every block position.  The top
-    table is fixed: cell (c, c') is the pair (a-state of left child state c,
-    b-state of right child state c').  Memoized in ``kron_cache``.
+    shared tables track both operands at every block position.  Top cell
+    (c, c') is a[q] * b[p], for the a-state q of left child state c and the
+    b-state p of right child state c', numbered by value.  Unless an operand
+    is the zero function, that stack is reduced: every b-state occurs in
+    some pair, some b[p] is nonzero and the ring has no zero divisors, so
+    c's row fixes a[q], hence q, and its column fixes p; the top separates
+    its child pairs, and a pair-product layer of canonical stacks separates
+    its own.  A zero top is reduced as usual.  Memoized in ``kron_cache``.
     """
     if a.level != b.level:
         raise LevelMismatch(f"levels {a.level} and {b.level}")
@@ -166,5 +170,6 @@ def kronecker(a: Tidd, b: Tidd) -> Tidd:
 
 def _kronecker(mgr: Manager, a: Tidd, b: Tidd) -> Tidd:
     child, meta = pair_product(a.top, b.top)
-    top, cells = mgr.intern_cells(child, ((q, p) for q, _ in meta for _, p in meta))
-    return canonical_tidd(top, [a.values[q] * b.values[p] for q, p in cells])
+    products = [[u * v for v in b.values] for u in a.values]
+    top, values = mgr.intern_cells(child, (products[q][p] for q, _ in meta for _, p in meta))
+    return canonical_tidd(top, values) if values == (ZERO,) else Tidd(top, values)

@@ -9,7 +9,9 @@ an implementation that shares nothing but the scalar type.
 ``benchmark_run`` is the one exception: a package benchmark run, cached so
 that tests checking the same run simulate it once per session.
 ``reference_sample`` is the sampler that ``analysis.sample`` replaced, kept
-so that tests can require the same draws from both.
+so that tests can require the same draws from both, and
+``reference_reduce_stack`` is the reduction that ``ops.reduce_stack``
+replaced, which reads and writes no layer's ``reduced`` slot.
 """
 
 from bisect import bisect_right
@@ -19,6 +21,7 @@ from random import Random
 
 from tidd import Manager, Value, as_value
 from tidd.bench import run_benchmark
+from tidd.core import first_occurrence
 from tidd.values import SQRT2_HALF
 
 S = SQRT2_HALF
@@ -261,3 +264,29 @@ def reference_product_stack(a, b, dead_a, dead_b):
         for row in cells
     )
     return levels + [(table, tuple(index))]
+
+
+def reference_reduce_stack(top, top_classes):
+    """Two-pass reduction of a layer stack under a merge of its top states.
+
+    Top-down, each level's classes are the first-occurrence numbering of
+    its states' (mapped row, mapped column) signatures under the classes
+    above; bottom-up, each new table is read at one member per class.
+    Returns the new top layer and the class map of every level, level 0
+    first, as ``reduce_stack`` does.
+    """
+    layers = top.stack()
+    class_of = [()] * (top.level + 1)
+    class_of[-1] = tuple(top_classes)
+    mapped_rows = [()] * (top.level + 1)
+    for i in range(top.level, 0, -1):
+        mapped = [tuple(class_of[i][e] for e in row) for row in layers[i].table]
+        mapped_rows[i] = mapped
+        class_of[i - 1], _ = first_occurrence(zip(mapped, zip(*mapped)))
+    mgr = top.manager
+    new_layer = mgr.fork() if class_of[0] == (0, 1) else mgr.dontcare()
+    for i in range(1, top.level + 1):
+        members = list({c: q for q, c in enumerate(class_of[i - 1])}.values())
+        rows = [[mapped_rows[i][q][r] for r in members] for q in members]
+        new_layer = mgr.intern_layer(new_layer, rows)
+    return new_layer, class_of

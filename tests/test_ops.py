@@ -22,6 +22,7 @@ from tidd import (
     scalar_multiply,
     validate,
 )
+from tidd import linalg, ops
 from tidd.bench import run_benchmark
 from tidd.core import first_occurrence
 from tidd.errors import LevelMismatch, ValueDomainError
@@ -33,9 +34,9 @@ from tidd.oracle import (
     exhaustive_equiv,
     random_equivalence_case,
 )
-from tidd.values import BinaryOp, SQRT2_HALF
+from tidd.values import ZERO, BinaryOp, SQRT2_HALF, as_value
 
-from helpers import random_raw_table, random_truth_table
+from helpers import random_raw_table, random_truth_table, reference_reduce_stack
 
 
 def test_pair_product_level0_table(mgr):
@@ -143,28 +144,89 @@ def test_separates_is_learned_exactly_on_circuit_layers(mgr):
     for algo, n in (("ghz", 64), ("bv", 16)):
         run_benchmark(mgr, algo, n)
     layers = list(mgr._layers.values())
-    learned = {layer: layer.separates for layer in layers if layer.separates is not None}
-    assert set(learned.values()) == {True, False}
-    for layer in layers:  # reducing under singleton top classes learns the rest
-        reduce_stack(layer, range(layer.num_states))
-    for layer in layers:
-        expected = separates_by_brute_force(layer)
-        assert layer.separates == learned.get(layer, expected) == expected, layer
+    learned = {layer: layer.reduced for layer in layers if layer.reduced is not None}
+    # the runs stored layers that reduce to themselves and layers that do not
+    assert {new is layer for layer, (_, new, _) in learned.items()} == {True, False}
+    for layer, (classes, new, below) in learned.items():
+        expected, maps = reference_reduce_stack(layer, classes)
+        assert new is expected and below == maps[-2], layer
+    for layer in layers:  # under singleton classes, the child's are singletons iff it separates
+        _, maps = reduce_stack(layer, range(layer.num_states))
+        separates = len(set(maps[-2])) == layer.child.num_states
+        assert separates == separates_by_brute_force(layer), layer
 
 
-def test_reduce_merges_below_a_table_that_does_not_separate(mgr):
+def test_reduce_merges_below_a_table_that_does_not_separate(mgr, monkeypatch):
     # level-1 states 1 and 2 share row (2, 3, 3) and column (1, 3, 3) of the top
     level1 = mgr.intern_layer(mgr.fork(), ((0, 1), (2, 0)))
     top = mgr.intern_layer(level1, ((0, 1, 1), (2, 3, 3), (2, 3, 3)))
     values = [Value(v, 0) for v in range(4)]
-    for _ in range(2):  # the second pass reads the learned flag
-        new_top, maps = reduce_stack(top, (0, 1, 2, 3))
-        assert top.separates is False
+    new_top, maps = reduce_stack(top, (0, 1, 2, 3))
+    assert top.reduced is None  # a top keeps no reduction
+    assert maps[1] == (0, 1, 1)
+    assert new_top.table == ((0, 1), (2, 3))
+    f = Tidd(new_top, tuple(values))
+    assert validate(f).ok
+    assert exhaustive_equiv(f, dense_from_tidd(Tidd(top, tuple(values))))
+
+    # below a top that separates its four states, the table keeps its reduction
+    above = mgr.intern_layer(top, [[4 * j + k for k in range(4)] for j in range(4)])
+    values = [Value(v, 0) for v in range(16)]
+    interned = []
+    intern_layer = mgr.intern_layer
+    monkeypatch.setattr(mgr, "intern_layer", lambda *args: interned.append(args) or intern_layer(*args))
+    # level 1 kept its reduction from above; then the top alone is rebuilt
+    for rebuilt in (2, 1):
+        interned.clear()
+        new_above, maps = reduce_stack(above, range(16))
+        assert len(interned) == rebuilt
+        assert top.reduced == ((0, 1, 2, 3), new_above.child, (0, 1, 1))
         assert maps[1] == (0, 1, 1)
-        assert new_top.table == ((0, 1), (2, 3))
-        f = Tidd(new_top, tuple(values))
+        assert new_above.child.table == ((0, 1), (2, 3))
+        f = Tidd(new_above, tuple(values))
         assert validate(f).ok
-        assert exhaustive_equiv(f, dense_from_tidd(Tidd(top, tuple(values))))
+        assert exhaustive_equiv(f, dense_from_tidd(Tidd(above, tuple(values))))
+
+
+def assert_reduces_as_reference(top, classes):
+    """``reduce_stack`` and the reference agree on the new top and every class map."""
+    expected, expected_maps = reference_reduce_stack(top, classes)
+    new_top, maps = reduce_stack(top, classes)
+    assert new_top is expected
+    assert maps == expected_maps
+    return new_top, maps
+
+
+def test_reduce_stack_matches_reference_on_circuit_product_stacks(mgr, monkeypatch):
+    stacks, hits = [], []
+
+    def checked(top, raw_values):
+        classes, _ = first_occurrence(map(as_value, raw_values))
+        slots = [layer.reduced for layer in top.stack()[1:-1]]
+        _, maps = assert_reduces_as_reference(top, classes)
+        hits.append(any(s is not None and s[0] == maps[s[1].level] for s in slots))
+        stacks.append(top)
+        return canonical_tidd(top, raw_values)
+
+    monkeypatch.setattr(linalg, "canonical_tidd", checked)
+    for algo in ("ghz", "bv"):
+        run_benchmark(mgr, algo, 8)
+    assert len(stacks) > 20 and 0 < sum(hits) < len(hits)
+
+
+def test_reduce_stack_alternating_class_maps_overwrite_the_slots(mgr):
+    rng = Random(23)
+    tops = [_raw_canonical_stack(mgr, rng, 3) for _ in range(40)]
+    tops += [f.top for f in (hadamard_family(mgr, 3), equality_relation(mgr, 3))]
+    overwritten = 0
+    for top in tops:
+        merged = (0,) * top.num_states
+        singletons = tuple(range(top.num_states))
+        for _ in range(2):  # each pass overwrites the slots the other filled
+            _, apart = assert_reduces_as_reference(top, singletons)
+            _, together = assert_reduces_as_reference(top, merged)
+        overwritten += apart[-2] != together[-2]
+    assert overwritten >= 10
 
 
 def test_reduce_output_validates_random(mgr):
@@ -197,7 +259,7 @@ def test_reduce_raw_canonical_stacks_random(mgr):
         assert exhaustive_equiv(f, dense_from_tidd(Tidd(top, tuple(raw_values))))
 
         classes, _ = first_occurrence(raw_values)
-        new_top, maps = reduce_stack(top, classes)
+        new_top, maps = assert_reduces_as_reference(top, classes)  # reads the slots just filled
         assert new_top is f.top
         assert maps[-1] == classes
         for new, m in zip(new_top.stack(), maps):
@@ -443,3 +505,42 @@ def test_kronecker_miss_adds_no_apply_cache_entry(mgr):
     assert mgr.stats["kronecker_misses"] == misses + 1
     assert len(mgr.kron_cache) == 1
     assert len(mgr.apply_cache) == entries
+
+
+def pair_keyed_kronecker(a, b):
+    """The tensor product through a top keyed by operand state pair, then reduced."""
+    child, meta = pair_product(a.top, b.top)
+    top, cells = a.manager.intern_cells(child, ((q, p) for q, _ in meta for _, p in meta))
+    return canonical_tidd(top, [a.values[q] * b.values[p] for q, p in cells])
+
+
+def random_kronecker_operands(mgr):
+    """Seeded canonical operands at levels 0-3, with constants and the zero function."""
+    rng = Random(29)
+    pairs = []
+    for level in range(4):
+        fs = [from_truth_table(mgr, level, random_truth_table(rng, level)) for _ in range(6)]
+        fs += [constant(mgr, level, 3), constant(mgr, level, 0)]
+        pairs += [(rng.choice(fs), rng.choice(fs)) for _ in range(12)]
+        pairs += [(fs[0], fs[-1]), (fs[-1], fs[1]), (fs[-2], fs[-1]), (fs[2], fs[-2])]
+    return pairs
+
+
+def test_kronecker_equals_the_reduced_pair_keyed_top(mgr):
+    pairs = random_kronecker_operands(mgr)
+    assert sum((ZERO,) in (a.values, b.values) for a, b in pairs) >= 8
+    for a, b in pairs:
+        got = kronecker(a, b)
+        assert got == pair_keyed_kronecker(a, b)
+        assert validate(got).ok
+
+
+def test_kronecker_reduces_only_under_the_zero_function(mgr, monkeypatch):
+    pairs = random_kronecker_operands(mgr)
+    calls = []
+    monkeypatch.setattr(ops, "reduce_stack", lambda *args: calls.append(args) or reduce_stack(*args))
+    for a, b in pairs:
+        calls.clear()
+        mgr.clear_caches()  # a repeated pair would read kron_cache
+        kronecker(a, b)
+        assert bool(calls) == ((ZERO,) in (a.values, b.values))
