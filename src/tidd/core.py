@@ -184,8 +184,8 @@ class Manager:
 
         The table must be total, square with side child.num_states, and in
         first-occurrence canonical order; non-canonical tables are rejected,
-        not repaired (``intern_cells`` numbers cells canonically).  A table
-        that is already interned passed both checks, so they run on a miss.
+        not repaired.  A table already interned passed both checks, so they
+        run on a miss; product and rebuilt tables skip them (``_intern``).
         """
         table = tuple(map(tuple, table))
         hit = self._layers.get((child, table))
@@ -194,7 +194,7 @@ class Manager:
         side = child.num_states
         if len(table) != side or any(len(row) != side for row in table):
             raise ArityMismatch(f"table side {len(table)} != child state count {side}")
-        return self._add_layer(child, table, check_canonical_order(table))
+        return self._intern(child, table, check_canonical_order(table))
 
     def intern_cells(self, child: Layer, cells) -> tuple[Layer, tuple]:
         """Intern the layer whose row-major cells are the hashable ``cells``.
@@ -208,14 +208,15 @@ class Manager:
         if len(numbers) != side * side:
             raise ArityMismatch(f"{len(numbers)} cells for child state count {side}")
         table = tuple(numbers[i:i + side] for i in range(0, len(numbers), side))
-        hit = self._layers.get((child, table))
-        return hit or self._add_layer(child, table, len(keys)), keys
+        return self._intern(child, table, len(keys)), keys
 
-    def _add_layer(self, child: Layer, table: Table, num_states: int) -> Layer:
-        """Intern a new layer whose ``table`` has passed both checks."""
-        layer = Layer(self, child.level + 1, child, table, num_states)
-        self._layers[child, table] = layer
-        return layer
+    def _intern(self, child: Layer, table: Table, num_states: int) -> Layer:
+        """Get or add, unchecked, the layer of a canonical table of ``num_states`` states."""
+        hit = self._layers.get((child, table))
+        if hit is None:
+            hit = Layer(self, child.level + 1, child, table, num_states)
+            self._layers[child, table] = hit
+        return hit
 
 
 @dataclass(frozen=True)
@@ -365,7 +366,7 @@ def size_metrics(f: Tidd) -> SizeReport:
         if layer.is_leaf():
             edges += layer.num_states
         else:
-            edges += sum(len(row) for row in set(layer.table))
+            edges += layer.child.num_states * len(set(layer.table))
     return SizeReport(nodes, edges, nodes + edges)
 
 

@@ -20,10 +20,10 @@ three triples or more are they sorted and the weights of equal pairs added.
 
 An operand state is dead when every context of it reaches a top value of 0:
 a top state whose value is 0, or a state below whose table row and column
-hold only dead states.  A canonical diagram has at most one per level, since
-two would have equal rows and columns.  A triple naming a dead state adds 0
-to every entry, so every level leaves it out; an empty sum is a state of
-value 0, and on the BV and GHZ circuits a sum holds at most two triples.
+hold only dead states.  A canonical diagram has at most one per level (two
+would share rows and columns); below none or two, none are sought.  A dead
+state's triple adds 0 to every entry, so leaving out any is exact; an empty
+sum is a state of value 0, and on BV and GHZ a sum holds at most two triples.
 The product stack is memoized on (a layer, b layer, dead a-states, dead
 b-states); the dead states below follow from these, so the key is complete.
 At the top each sum resolves to sum(V(q) * V(p) * w) and the standard
@@ -153,10 +153,12 @@ def _dead_top(f: Tidd) -> tuple[int, ...]:
 
 
 def _dead_below(layer: Layer, dead: tuple[int, ...]) -> tuple[int, ...]:
-    """The dead states of ``layer``'s child, given the dead states of ``layer``."""
-    table = layer.table
+    """The dead states of ``layer``'s child if ``layer`` has exactly one, else none."""
+    if len(dead) != 1:
+        return ()
+    table, dead_row = layer.table, dead * len(layer.table)
     return tuple(s for s, row in enumerate(table)
-                 if all(e in dead for e in row) and all(r[s] in dead for r in table))
+                 if row == dead_row and all(r[s] == dead[0] for r in table))
 
 
 def _product_stack(

@@ -24,7 +24,7 @@ unless an operand is the zero function.
 from __future__ import annotations
 
 from .core import APPLY, KRONECKER, PAIR_PRODUCT, Layer, Manager, Tidd, first_occurrence
-from .errors import ArityMismatch, LevelMismatch
+from .errors import ArityMismatch, CanonicalOrderViolation, LevelMismatch
 from .values import ZERO, BinaryOp, Value, as_value
 
 PairMeta = tuple[tuple[int, int], ...]
@@ -65,8 +65,8 @@ def reduce_stack(top: Layer, top_classes) -> tuple[Layer, list[tuple[int, ...]]]
     """Minimize a layer stack given a merge of its top states.
 
     ``top_classes[q]`` gives the class of top state q, numbered by first
-    occurrence; a count other than one class per top state raises
-    ArityMismatch.  Two states at a lower level merge iff their transition
+    occurrence (else CanonicalOrderViolation), one per top state (else
+    ArityMismatch).  Two states at a lower level merge iff their transition
     behavior coincides class-wise in every row and column.
     Returns the new top layer and, per level from 0 up, the map old state
     index -> new state index, which is the class numbering itself.
@@ -75,6 +75,8 @@ def reduce_stack(top: Layer, top_classes) -> tuple[Layer, list[tuple[int, ...]]]
     class_of: list[tuple[int, ...]] = [()] * level + [tuple(top_classes)]
     if len(class_of[level]) != top.num_states:
         raise ArityMismatch(f"{len(class_of[level])} classes for {top.num_states} top states")
+    if first_occurrence(class_of[level])[0] != class_of[level]:
+        raise CanonicalOrderViolation(f"top classes {class_of[level]} skip first occurrence")
 
     # top-down: classes per level number the states' (mapped row, mapped
     # column) signatures by first occurrence.  A layer below the top whose
@@ -100,8 +102,8 @@ def reduce_stack(top: Layer, top_classes) -> tuple[Layer, list[tuple[int, ...]]]
     # appears before E's other states, in the row and column of first states
     # (an earlier member of either class would hold E earlier), and first
     # states increase with their class, so the new table scans its cells in
-    # the order of those old cells and E first appears before E + 1.  A
-    # rebuilt table equal to the old one over the same child keeps its layer.
+    # the order of those old cells and E first appears before E + 1.  Rebuilt
+    # tables skip the check; one equal to the old over the same child is kept.
     mgr = top.manager
     if new_layer is None:  # the two Fork states merge unless told apart
         new_layer = mgr.fork() if class_of[0] == (0, 1) else mgr.dontcare()
@@ -111,7 +113,7 @@ def reduce_stack(top: Layer, top_classes) -> tuple[Layer, list[tuple[int, ...]]]
         members = {c: q for q, c in enumerate(below)}.values()
         rows = tuple(tuple(map(mapped_rows[i][q].__getitem__, members)) for q in members)
         if new_layer is not layer.child or rows != layer.table:
-            layer = mgr.intern_layer(new_layer, rows)
+            layer = mgr._intern(new_layer, rows, max(class_of[i]) + 1)
         if i < level:
             layers[i].reduced = (class_of[i], layer, below)
         new_layer = layer

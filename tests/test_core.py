@@ -8,6 +8,7 @@ from tidd import analysis, linalg, ops
 from tidd import (
     TIMES,
     Tidd,
+    anti_diagonal,
     Value,
     constant,
     dump,
@@ -278,6 +279,33 @@ def test_size_metrics_hadamard(mgr):
     assert size_metrics(h).edges == 6
     for i in range(1, 9):
         assert total_states(hadamard_family(mgr, i)) == 2 * i + 2
+
+
+def edges_by_row(f):
+    """size_metrics' edges as defined: a leaf's states, and each distinct row's length."""
+    return sum(
+        layer.num_states if layer.is_leaf() else sum(len(row) for row in set(layer.table))
+        for layer in f.top.stack()
+    )
+
+
+def test_size_metrics_edges_sum_the_distinct_rows(mgr):
+    rng = Random(48)
+    diagrams = [
+        from_truth_table(mgr, level, random_truth_table(rng, level))
+        for level in (0, 1, 2, 3)
+        for _ in range(10)
+    ]
+    for level in (1, 2, 3, 4):
+        diagrams += [
+            constant(mgr, level, 3), projection(mgr, level, 1), hadamard_family(mgr, level),
+            equality_relation(mgr, level),
+        ]
+    diagrams += [anti_diagonal(mgr, n) for n in (2, 4)]
+    for f in diagrams:
+        report = size_metrics(f)
+        assert report.edges == edges_by_row(f)
+        assert report.total == report.nodes + report.edges
 
 
 def test_state_counts(mgr):

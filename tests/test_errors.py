@@ -16,6 +16,7 @@ from tidd.builders import (
 )
 from tidd.errors import (
     ArityMismatch,
+    CanonicalOrderViolation,
     IndexOutOfRange,
     NotPowerOfTwo,
     OracleScaleLimit,
@@ -94,6 +95,10 @@ BAD_ARGUMENTS = [
     ("3 values for 2 top states",
      lambda m: canonical_tidd(_hadamard_top(m), [1, 2, 3]), ArityMismatch),
     ("1 class for 2 top states", lambda m: reduce_stack(_hadamard_top(m), (0,)), ArityMismatch),
+    ("top classes (1, 0)",
+     lambda m: reduce_stack(_hadamard_top(m), (1, 0)), CanonicalOrderViolation),
+    ("top classes (0, 2)",
+     lambda m: reduce_stack(_hadamard_top(m), (0, 2)), CanonicalOrderViolation),
 ]
 
 

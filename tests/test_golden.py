@@ -10,6 +10,10 @@ library.  A faster kernel must leave every one unchanged:
   order on one ``Manager``;
 * draws: the assignments ``sample`` draws from a family at a fixed seed, and
   the histogram ``measure_distribution`` returns for a circuit's state.
+
+After a circuit run on a fresh ``Manager``, its ``snapshot`` and the digest
+of the sorted ``dump`` of every layer it interned are pinned too, so a
+change to what a run interns or caches shows.
 """
 
 import hashlib
@@ -17,7 +21,7 @@ from random import Random
 
 import pytest
 
-from tidd import Manager, anti_diagonal, dump, equality_relation, sample
+from tidd import Manager, Tidd, anti_diagonal, dump, equality_relation, sample
 from tidd.bench import (
     bv_circuit,
     bv_secret,
@@ -25,6 +29,7 @@ from tidd.bench import (
     ghz_circuit,
     measure_distribution,
     metrics_fields,
+    run_benchmark,
 )
 
 from helpers import benchmark_run
@@ -118,3 +123,48 @@ def digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_matches_golden_digest(name):
     assert digest(name) == GOLDEN[name]
+
+
+INTERNED = {
+    "ghz-64-0": (
+        {
+            "_layers": {"size": 976},
+            "pair_cache": {"size": 524, "pair_product_hits": 272, "pair_product_misses": 524},
+            "apply_cache": {"size": 63, "apply_hits": 0, "apply_misses": 63},
+            "kron_cache": {"size": 210, "kronecker_hits": 0, "kronecker_misses": 210},
+            "matmul_cache": {"size": 190, "matmul_hits": 0, "matmul_misses": 64,
+                             "matmul_stack_hits": 62, "matmul_stack_misses": 126},
+            "triple_sums": {"size": 12},
+            "path_count_cache": {"size": 0, "path_counts_hits": 0, "path_counts_misses": 0},
+            "span_cache": {"size": 216, "span_hits": 332, "span_misses": 216},
+            "draw_plan_cache": {"size": 0, "draw_plan_hits": 0, "draw_plan_misses": 0},
+        },
+        "de0170aceda16a1b2e3004b40f2c8fd4cf31ba144975f53d3a3b5226f5c5a1b8",
+    ),
+    "bv-16-0": (
+        {
+            "_layers": {"size": 297},
+            "pair_cache": {"size": 74, "pair_product_hits": 59, "pair_product_misses": 74},
+            "apply_cache": {"size": 0, "apply_hits": 0, "apply_misses": 0},
+            "kron_cache": {"size": 60, "kronecker_hits": 0, "kronecker_misses": 60},
+            "matmul_cache": {"size": 137, "matmul_hits": 0, "matmul_misses": 42,
+                             "matmul_stack_hits": 38, "matmul_stack_misses": 95},
+            "triple_sums": {"size": 147},
+            "path_count_cache": {"size": 0, "path_counts_hits": 0, "path_counts_misses": 0},
+            "span_cache": {"size": 64, "span_hits": 99, "span_misses": 64},
+            "draw_plan_cache": {"size": 0, "draw_plan_hits": 0, "draw_plan_misses": 0},
+        },
+        "986b718055963d7d59b8d1d9cf5aa31ce882c86c13e8eff3af20934ac3d27594",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERNED))
+def test_run_interns_and_caches_as_pinned(name):
+    algo, qubits, seed = name.split("-")
+    mgr = Manager()
+    run_benchmark(mgr, algo, int(qubits), int(seed))
+    snapshot, layers_digest = INTERNED[name]
+    assert mgr.snapshot() == snapshot
+    layers = sorted(dump(Tidd(layer, ())) for layer in mgr._layers.values())
+    assert hashlib.sha256("\n\n".join(layers).encode()).hexdigest() == layers_digest

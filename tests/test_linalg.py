@@ -7,6 +7,7 @@ from tidd import (
     AND,
     ONE,
     PLUS,
+    TIMES,
     Tidd,
     Value,
     apply,
@@ -21,6 +22,7 @@ from tidd import (
     negation,
     projection,
     scalar_multiply,
+    validate,
     vector_from_basis_state,
 )
 from tidd.bench import (
@@ -333,6 +335,58 @@ def test_dead_states_match_brute_force(mgr):
         assert all(len(states) <= 1 for states in dead.values())
         dead_below_top += sum(len(dead[level]) for level in range(1, f.level))
     assert dead_below_top > 0
+
+
+def dead_below_by_definition(layer, dead):
+    """The child states whose every row and column entry in ``layer`` is in ``dead``."""
+    table = layer.table
+    return tuple(s for s in range(len(table))
+                 if all(e in dead for e in table[s]) and all(row[s] in dead for row in table))
+
+
+def test_dead_below_matches_the_definition(mgr):
+    rng = Random(46)
+    diagrams = [
+        from_truth_table(mgr, level, random_truth_table(rng, level))
+        for level in (2, 3)
+        for _ in range(8)
+    ]
+    for algo in ("bv", "dj", "ghz"):
+        for a, b in circuit_operand_pairs(mgr, algo):
+            diagrams += [a, b]
+    # f * f + 1 has no zero value: nothing is dead at any level
+    diagrams += [apply(PLUS, apply(TIMES, f, f), constant(mgr, f.level, 1)) for f in diagrams]
+    assert {bool(_dead_top(f)) for f in diagrams} == {True, False}
+    found = row_only = 0
+    for f in diagrams:
+        dead = _dead_top(f)
+        for layer in reversed(f.top.stack()[2:]):
+            expected = dead_below_by_definition(layer, dead)
+            assert _dead_below(layer, dead) == expected
+            found += len(expected)
+            # child states whose row alone is dead: only the column tells them apart
+            row_only += sum(all(e in dead for e in row) for row in layer.table) - len(expected)
+            dead = expected
+    assert found > 0 and row_only > 0
+
+
+def test_matmul_of_an_operand_with_two_equal_dead_states_matches_dense(mgr):
+    # level-2 states 2 and 3 share their row and column, all top state 1 of
+    # value 0: both are dead, so below them the kernel prunes nothing
+    level1 = mgr.intern_layer(mgr.fork(), ((0, 1), (2, 0)))
+    level2 = mgr.intern_layer(level1, ((0, 1, 2), (1, 3, 0), (2, 0, 3)))
+    top = mgr.intern_layer(level2, ((0, 1, 1, 1), (2, 3, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1)))
+    a = MatrixTidd(Tidd(top, tuple(Value(v, 0) for v in (5, 0, -3, 7))), 4)
+    assert validate(a.t).constraint == "2(v) distinguishability"
+    assert _dead_below(top, _dead_top(a.t)) == (2, 3)
+    assert _dead_below(level2, (2, 3)) == ()
+    rng = Random(47)
+    for _ in range(4):
+        b = random_matrix(mgr, rng, 4)
+        for left, right in ((a, b), (b, a)):
+            got = dense_from_tidd(matmul(left, right).t)
+            expected = dense_matmul(dense_from_tidd(left.t), dense_from_tidd(right.t))
+            assert got.outputs == expected.outputs
 
 
 @pytest.mark.parametrize("algo", ["bv", "ghz"])
