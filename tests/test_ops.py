@@ -103,20 +103,24 @@ def test_reduce_idempotent_on_canonical(mgr):
         assert g.values == f.values
 
 
-def test_reduce_stack_keeps_a_minimal_stack(mgr):
+def test_reduce_stack_keeps_a_minimal_stack(mgr, monkeypatch):
     fs = (
         hadamard_family(mgr, 3),
         equality_relation(mgr, 2),
         constant(mgr, 2, 4),
         projection(mgr, 3, 2),
     )
-    interned = len(mgr._layers)
+
+    def no_intern(child, table, num_states):
+        raise AssertionError("a minimal stack needs no new layer")
+
+    # every table, checked or rebuilt, is interned through _intern
+    monkeypatch.setattr(mgr, "_intern", no_intern)
     for f in fs:
         classes, _ = first_occurrence(f.values)
         top, maps = reduce_stack(f.top, classes)
         assert top is f.top
         assert maps == [tuple(range(layer.num_states)) for layer in f.top.stack()]
-    assert len(mgr._layers) == interned  # a minimal stack needs no new layer
 
 
 def test_reduce_merges_fork_to_dontcare(mgr):
@@ -153,7 +157,7 @@ def test_separates_is_learned_exactly_on_circuit_layers(mgr):
         assert separates == separates_by_brute_force(layer), layer
 
 
-def test_reduce_merges_below_a_table_that_does_not_separate(mgr):
+def test_reduce_merges_below_a_table_that_does_not_separate(mgr, monkeypatch):
     # level-1 states 1 and 2 share row (2, 3, 3) and column (1, 3, 3) of the top
     level1 = mgr.intern_layer(mgr.fork(), ((0, 1), (2, 0)))
     top = mgr.intern_layer(level1, ((0, 1, 1), (2, 3, 3), (2, 3, 3)))
@@ -169,12 +173,17 @@ def test_reduce_merges_below_a_table_that_does_not_separate(mgr):
     # below a top that separates its four states, the table keeps its reduction
     above = mgr.intern_layer(top, [[4 * j + k for k in range(4)] for j in range(4)])
     values = [Value(v, 0) for v in range(16)]
+    interned = []
+    intern = mgr._intern
+    monkeypatch.setattr(mgr, "_intern", lambda *args: interned.append(args) or intern(*args))
     # level 1 kept its reduction from above, and level 2 rebuilds the table
     # interned above: only the new top is new; then level 2 keeps its reduction
-    for grown in (1, 0):
-        interned = len(mgr._layers)
+    for rebuilt, grown in ((2, 1), (1, 0)):
+        interned.clear()
+        size = len(mgr._layers)
         new_above, maps = reduce_stack(above, range(16))
-        assert len(mgr._layers) - interned == grown
+        assert len(interned) == rebuilt
+        assert len(mgr._layers) - size == grown
         assert top.reduced == ((0, 1, 2, 3), new_above.child, (0, 1, 1))
         assert maps[1] == (0, 1, 1)
         assert new_above.child.table == ((0, 1), (2, 3))
