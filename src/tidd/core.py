@@ -13,12 +13,11 @@ layers are the *same* object and semantic equality of whole diagrams reduces
 to a handle comparison plus a value-tuple comparison.
 
 Concurrency: layers and diagrams are immutable and freely shareable between
-threads for reading, except that reduction replaces a layer's ``reduced``
-tuple, whose result always fits its classes.  The interning and memo tables
-live on the manager and are not synchronized; mutating operations on one
-manager must be externally serialized.  One manager per process is the
-default.  Every operation cache is read, counted and filled through one
-method, ``Manager.memo``.
+threads for reading.  The interning and memo tables live on the manager and
+are not synchronized; mutating operations on one manager must be externally
+serialized.  One manager per process is the default.  Every operation cache,
+reduction's included, is read, counted and filled through one method,
+``Manager.memo``.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .errors import (
     ArityMismatch,
     AssignmentLengthMismatch,
     CanonicalOrderViolation,
+    ManagerMismatch,
 )
 from .values import Value
 
@@ -42,11 +42,10 @@ class Layer:
     state b * (num_states - 1): a Fork has two states, a DontCare one.  A
     layer at level >= 1 references its child layer plus a square transition
     table ``table[a][b]`` mapping child-state pairs to parent states, stored
-    row-major in first-occurrence canonical order.  ``reduced`` is None, or
-    its last reduction below a top: ``(classes, new layer, child classes)``.
+    row-major in first-occurrence canonical order.  A layer is immutable.
     """
 
-    __slots__ = ("manager", "level", "child", "table", "num_states", "reduced")
+    __slots__ = ("manager", "level", "child", "table", "num_states")
 
     def __init__(self, manager, level, child, table, num_states):
         self.manager = manager
@@ -54,7 +53,6 @@ class Layer:
         self.child = child          # Layer or None
         self.table = table          # Table or None
         self.num_states = num_states
-        self.reduced = None
 
     def is_leaf(self) -> bool:
         return self.level == 0
@@ -107,12 +105,13 @@ COUNTERS = tuple(
     (f"{name}_hits", f"{name}_misses", cache)
     for name, cache in (
         ("pair_product", "pair_cache"), ("apply", "apply_cache"),
-        ("kronecker", "kron_cache"), ("matmul", "matmul_cache"),
+        ("reduce", "reduce_cache"), ("kronecker", "kron_cache"), ("matmul", "matmul_cache"),
         ("matmul_stack", "matmul_cache"), ("path_counts", "path_count_cache"),
         ("span", "span_cache"), ("draw_plan", "draw_plan_cache"),
     )
 )
-PAIR_PRODUCT, APPLY, KRONECKER, MATMUL, MATMUL_STACK, PATH_COUNTS, SPAN, DRAW_PLAN = COUNTERS
+(PAIR_PRODUCT, APPLY, REDUCE, KRONECKER, MATMUL, MATMUL_STACK, PATH_COUNTS, SPAN,
+ DRAW_PLAN) = COUNTERS
 
 
 class Manager:
@@ -127,6 +126,7 @@ class Manager:
         self._dontcare = Layer(self, 0, None, None, 1)
         self.pair_cache: dict = {}
         self.apply_cache: dict = {}
+        self.reduce_cache: dict = {}
         self.kron_cache: dict = {}
         self.matmul_cache: dict = {}
         self.triple_sums: dict = {}
@@ -247,7 +247,9 @@ class Tidd:
 
 
 def equal(f: Tidd, g: Tidd) -> bool:
-    """Semantic equality of same-level diagrams (canonicity makes it a handle check)."""
+    """Semantic equality of diagrams of one Manager (canonicity makes it a handle check)."""
+    if f.manager is not g.manager:
+        raise ManagerMismatch("operands belong to two Managers")
     return f == g
 
 

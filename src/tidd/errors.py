@@ -38,6 +38,10 @@ class LevelMismatch(TiddError):
     """Binary operation operands have different levels."""
 
 
+class ManagerMismatch(TiddError):
+    """Operands of one operation belong to two different Managers."""
+
+
 class ValueDomainError(TiddError):
     """A value is outside the ring, or a boolean operation got a non-boolean value."""
 

@@ -40,7 +40,8 @@ from .analysis import top_path_counts
 from .builders import equality_relation, from_truth_table
 from .core import MATMUL, MATMUL_STACK, SPAN, Layer, Manager, Tidd, evaluate
 from .errors import (
-    IndexOutOfRange, ShapeMismatch, require_at_least, require_dense, require_power_of_two,
+    IndexOutOfRange, ManagerMismatch, ShapeMismatch, require_at_least, require_dense,
+    require_power_of_two,
 )
 from .ops import apply, canonical_tidd, kronecker
 from .values import PLUS, TIMES, Value, ZERO, as_value
@@ -209,6 +210,8 @@ def matmul(a: MatrixTidd, b: MatrixTidd) -> MatrixTidd:
     """Exact matrix product, memoized on the operand layers and their zero states."""
     if a.qubits != b.qubits:
         raise ShapeMismatch(f"qubit counts {a.qubits} and {b.qubits}")
+    if a.t.manager is not b.t.manager:
+        raise ManagerMismatch("operands belong to two Managers")
     dead = (_dead_top(a.t), _dead_top(b.t))
     top, sums = a.t.manager.memo(MATMUL, _product_stack, a.t.top, b.t.top, *dead)
     raw_values = [

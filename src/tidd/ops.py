@@ -5,14 +5,13 @@ product (pair product) of the operand layer stacks annotated with operand
 state pairs, then a minimization (reduction) that merges same-valued top
 states and propagates the equivalence downward.
 
-Reduction is a single top-down pass: in a leveled automaton the equivalence
+Reduction is a single descent: in a leveled automaton the equivalence
 classes at level i are fully determined by the classes at level i+1 (every
 context of a level-i state factors through level i+1), so no fixpoint
-iteration is needed.  Products and reduction number states only through
-``core.first_occurrence``; the bottom-up rebuild needs no renumbering.
-Below the top, a layer's reduction depends on its classes alone, so each
-layer keeps its last one in its ``reduced`` slot, which the next product
-stack over that layer reads if its classes match.
+iteration is needed.  Each level is rebuilt, with no renumbering, as the
+descent returns; below the top, a layer's reduction depends on its classes
+alone and is memoized in ``reduce_cache``.  Products and reduction number
+states only through ``core.first_occurrence``.
 
 A tensor product is a pair product under one fixed top table.  With one
 table per level shared by every block position, each lower level must pair
@@ -23,8 +22,8 @@ unless an operand is the zero function.
 
 from __future__ import annotations
 
-from .core import APPLY, KRONECKER, PAIR_PRODUCT, Layer, Manager, Tidd, first_occurrence
-from .errors import ArityMismatch, CanonicalOrderViolation, LevelMismatch
+from .core import APPLY, KRONECKER, PAIR_PRODUCT, REDUCE, Layer, Manager, Tidd, first_occurrence
+from .errors import ArityMismatch, CanonicalOrderViolation, LevelMismatch, ManagerMismatch
 from .values import ZERO, BinaryOp, Value, as_value
 
 PairMeta = tuple[tuple[int, int], ...]
@@ -39,10 +38,13 @@ def pair_product(a: Layer, b: Layer) -> tuple[Layer, PairMeta]:
     Returns the combined top layer and, for each of its states, the operand
     state pair (q, p) it tracks.  Only pairs reachable through component-wise
     transitions are created; ``intern_cells`` numbers them in row-major
-    first-occurrence order.  Memoized on the layer handle pair.
+    first-occurrence order.  Memoized on the layer handle pair, which must
+    belong to one Manager (else ManagerMismatch).
     """
     if a.level != b.level:
         raise LevelMismatch(f"levels {a.level} and {b.level}")
+    if a.manager is not b.manager:
+        raise ManagerMismatch("operands belong to two Managers")
     return a.manager.memo(PAIR_PRODUCT, _pair_product, a, b)
 
 
@@ -71,53 +73,40 @@ def reduce_stack(top: Layer, top_classes) -> tuple[Layer, list[tuple[int, ...]]]
     Returns the new top layer and, per level from 0 up, the map old state
     index -> new state index, which is the class numbering itself.
     """
-    layers, level = top.stack(), top.level
-    class_of: list[tuple[int, ...]] = [()] * level + [tuple(top_classes)]
-    if len(class_of[level]) != top.num_states:
-        raise ArityMismatch(f"{len(class_of[level])} classes for {top.num_states} top states")
-    if first_occurrence(class_of[level])[0] != class_of[level]:
-        raise CanonicalOrderViolation(f"top classes {class_of[level]} skip first occurrence")
+    classes = tuple(top_classes)
+    if len(classes) != top.num_states:
+        raise ArityMismatch(f"{len(classes)} classes for {top.num_states} top states")
+    if first_occurrence(classes)[0] != classes:
+        raise CanonicalOrderViolation(f"top classes {classes} skip first occurrence")
+    new_top, class_of = _reduce(top.manager, top, classes)
+    return new_top, list(class_of)
 
-    # top-down: classes per level number the states' (mapped row, mapped
-    # column) signatures by first occurrence.  A layer below the top whose
-    # ``reduced`` slot holds its classes hands down the child classes stored
-    # there, and the highest such layer's stored result fixes all below it.
-    mapped_rows: list = [()] * (level + 1)
-    start, new_layer = 0, None
-    for i in range(level, 0, -1):
-        slot = layers[i].reduced
-        if i < level and slot is not None and slot[0] == class_of[i]:
-            class_of[i - 1] = slot[2]
-            if new_layer is None:
-                start, new_layer = i, slot[1]
-            continue
-        class_above = class_of[i].__getitem__
-        mapped = mapped_rows[i] = [tuple(map(class_above, row)) for row in layers[i].table]
-        class_of[i - 1], _ = first_occurrence(zip(mapped, zip(*mapped)))
 
-    # bottom-up rebuild above that layer.  New child state C is class C
-    # below, and row C of the new table is C's mapped row read at one member
-    # of each class: members share their mapped column.  No renumbering is
-    # needed: in the old, canonical table, the first state of class E first
-    # appears before E's other states, in the row and column of first states
-    # (an earlier member of either class would hold E earlier), and first
-    # states increase with their class, so the new table scans its cells in
-    # the order of those old cells and E first appears before E + 1.  Rebuilt
-    # tables skip the check; one equal to the old over the same child is kept.
-    mgr = top.manager
-    if new_layer is None:  # the two Fork states merge unless told apart
-        new_layer = mgr.fork() if class_of[0] == (0, 1) else mgr.dontcare()
-    for i in range(start + 1, level + 1):
-        layer, below = layers[i], class_of[i - 1]
-        # one member per class, in class order: keys keep first insertion
-        members = {c: q for q, c in enumerate(below)}.values()
-        rows = tuple(tuple(map(mapped_rows[i][q].__getitem__, members)) for q in members)
-        if new_layer is not layer.child or rows != layer.table:
-            layer = mgr._intern(new_layer, rows, max(class_of[i]) + 1)
-        if i < level:
-            layers[i].reduced = (class_of[i], layer, below)
-        new_layer = layer
-    return new_layer, class_of
+def _reduce(mgr: Manager, layer: Layer, classes: tuple[int, ...]) -> tuple[Layer, tuple]:
+    """``layer`` reduced under ``classes``, and the class maps of levels 0 up to it.
+
+    The child's classes number its states' (mapped row, mapped column)
+    signatures by first occurrence; a ``reduce_cache`` hit on them ends the descent.
+    """
+    if layer.is_leaf():  # the two Fork states merge unless told apart
+        return mgr.fork() if classes == (0, 1) else mgr.dontcare(), (classes,)
+    mapped = [tuple(map(classes.__getitem__, row)) for row in layer.table]
+    below, _ = first_occurrence(zip(mapped, zip(*mapped)))
+    child, class_of = mgr.memo(REDUCE, _reduce, layer.child, below)
+    # New child state C is class C below, and row C of the new table is C's
+    # mapped row read at one member of each class: members share their
+    # mapped column.  No renumbering is needed: in the old, canonical table,
+    # the first state of class E first appears before E's other states, in
+    # the row and column of first states (an earlier member of either class
+    # would hold E earlier), and first states increase with their class, so
+    # the new table scans its cells in the order of those old cells and E
+    # first appears before E + 1.  Rebuilt tables skip the check; one equal
+    # to the old over the same child is kept.
+    members = {c: q for q, c in enumerate(below)}.values()  # one per class, in class order
+    rows = tuple(tuple(map(mapped[q].__getitem__, members)) for q in members)
+    if child is not layer.child or rows != layer.table:
+        layer = mgr._intern(child, rows, max(classes) + 1)
+    return layer, (*class_of, classes)
 
 
 def canonical_tidd(top: Layer, raw_values) -> Tidd:

@@ -10,8 +10,8 @@ an implementation that shares nothing but the scalar type.
 that tests checking the same run simulate it once per session.
 ``reference_sample`` is the sampler that ``analysis.sample`` replaced, kept
 so that tests can require the same draws from both, and
-``reference_reduce_stack`` is the reduction that ``ops.reduce_stack``
-replaced, which reads and writes no layer's ``reduced`` slot.
+``reference_reduce_stack`` is the two-pass reduction that ``ops.reduce_stack``
+replaced, which reads and fills no cache.
 """
 
 from bisect import bisect_right

@@ -365,10 +365,11 @@ def test_every_counter_matches_its_calls(mgr, monkeypatch):
     count(linalg, "kronecker", "kronecker")  # qubit_sum's own imports
     count(linalg, "apply", "apply")
 
-    # span and stack reads are counted from structure: each product stack
-    # above level 1 reads its child pair, and each span of more than one
-    # qubit reads its two halves (qubit_sum reads one span per term, below)
-    product_stack, build_span = linalg._product_stack, linalg._build_span
+    # span, stack and reduction reads are counted from structure: each
+    # product stack above level 1 reads its child pair, each span of more
+    # than one qubit reads its two halves (qubit_sum reads one span per term,
+    # below), and each reduction above level 0 reads its child's reduction
+    product_stack, build_span, reduce_body = linalg._product_stack, linalg._build_span, ops._reduce
 
     def stack_reads(manager, a, *args):
         calls["matmul_stack"] += a.level > 1
@@ -378,8 +379,13 @@ def test_every_counter_matches_its_calls(mgr, monkeypatch):
         calls["span"] += 2 * (size > 1)
         return build_span(manager, size, *args)
 
+    def reduce_reads(manager, layer, classes):
+        calls["reduce"] += not layer.is_leaf()
+        return reduce_body(manager, layer, classes)
+
     monkeypatch.setattr(linalg, "_product_stack", stack_reads)
     monkeypatch.setattr(linalg, "_build_span", span_reads)
+    monkeypatch.setattr(ops, "_reduce", reduce_reads)
 
     rng = Random(41)
     for level in (1, 2, 3):
@@ -430,7 +436,7 @@ def test_snapshot_reports_every_table_with_its_counters(mgr):
 
     snap = mgr.snapshot()
     names = (
-        "_layers", "pair_cache", "apply_cache", "kron_cache", "matmul_cache",
+        "_layers", "pair_cache", "apply_cache", "reduce_cache", "kron_cache", "matmul_cache",
         "triple_sums", "path_count_cache", "span_cache", "draw_plan_cache",
     )
     tables = {name: getattr(mgr, name) for name in names}
@@ -458,6 +464,8 @@ def test_snapshot_reports_every_table_with_its_counters(mgr):
     assert snap["matmul_cache"]["matmul_stack_hits"] > 0
     assert set(snap["span_cache"]) == {"size", "span_hits", "span_misses"}
     assert snap["span_cache"]["span_hits"] > 0
+    assert set(snap["reduce_cache"]) == {"size", "reduce_hits", "reduce_misses"}
+    assert snap["reduce_cache"]["reduce_hits"] > 0
 
 
 def test_clear_caches_empties_them_and_reruns_match(mgr):
@@ -478,3 +486,7 @@ def test_clear_caches_empties_them_and_reruns_match(mgr):
     assert (len(mgr._layers), mgr.stats) == (layers, stats)
     assert run_both() == first
     assert len(mgr._layers) == layers  # the reruns intern no new layer
+    # no cache kept state: the reruns read every cache, reduce_cache
+    # included, as the first runs did on the fresh Manager
+    assert stats["reduce_hits"] > 0
+    assert {key: count - stats[key] for key, count in mgr.stats.items()} == stats

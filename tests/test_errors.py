@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from tidd import Value, apply, builders, errors
+from tidd import PLUS, Manager, Value, apply, builders, equal, errors, kronecker, pair_product
 from tidd.bench import _I, _X, GateSpec, measure_distribution
 from tidd.builders import (
     constant,
@@ -18,6 +18,7 @@ from tidd.errors import (
     ArityMismatch,
     CanonicalOrderViolation,
     IndexOutOfRange,
+    ManagerMismatch,
     NotPowerOfTwo,
     OracleScaleLimit,
     ValueDomainError,
@@ -25,7 +26,7 @@ from tidd.errors import (
     require_dense,
     require_power_of_two,
 )
-from tidd.linalg import qubit_sum, vector_from_basis_state
+from tidd.linalg import MatrixTidd, matmul, qubit_sum, vector_from_basis_state
 from tidd.ops import canonical_tidd, reduce_stack
 from tidd.oracle import (
     DenseFunction,
@@ -54,6 +55,11 @@ def _class_count(level):
 
 def _hadamard_top(mgr):
     return hadamard_family(mgr, 1).top  # two top states
+
+
+def _two_managers(mgr):
+    """The same one-qubit Hadamard diagram, built in ``mgr`` and in a new Manager."""
+    return hadamard_family(mgr, 1), hadamard_family(Manager(), 1)
 
 
 BAD_ARGUMENTS = [
@@ -99,6 +105,13 @@ BAD_ARGUMENTS = [
      lambda m: reduce_stack(_hadamard_top(m), (1, 0)), CanonicalOrderViolation),
     ("top classes (0, 2)",
      lambda m: reduce_stack(_hadamard_top(m), (0, 2)), CanonicalOrderViolation),
+    ("apply across Managers", lambda m: apply(PLUS, *_two_managers(m)), ManagerMismatch),
+    ("kronecker across Managers", lambda m: kronecker(*_two_managers(m)), ManagerMismatch),
+    ("pair product across Managers",
+     lambda m: pair_product(*(f.top for f in _two_managers(m))), ManagerMismatch),
+    ("matmul across Managers",
+     lambda m: matmul(*(MatrixTidd(f, 1) for f in _two_managers(m))), ManagerMismatch),
+    ("equal across Managers", lambda m: equal(*_two_managers(m)), ManagerMismatch),
 ]
 
 

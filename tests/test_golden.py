@@ -131,6 +131,7 @@ INTERNED = {
             "_layers": {"size": 976},
             "pair_cache": {"size": 524, "pair_product_hits": 272, "pair_product_misses": 524},
             "apply_cache": {"size": 63, "apply_hits": 0, "apply_misses": 63},
+            "reduce_cache": {"size": 245, "reduce_hits": 132, "reduce_misses": 245},
             "kron_cache": {"size": 210, "kronecker_hits": 0, "kronecker_misses": 210},
             "matmul_cache": {"size": 190, "matmul_hits": 0, "matmul_misses": 64,
                              "matmul_stack_hits": 62, "matmul_stack_misses": 126},
@@ -146,6 +147,7 @@ INTERNED = {
             "_layers": {"size": 297},
             "pair_cache": {"size": 74, "pair_product_hits": 59, "pair_product_misses": 74},
             "apply_cache": {"size": 0, "apply_hits": 0, "apply_misses": 0},
+            "reduce_cache": {"size": 91, "reduce_hits": 44, "reduce_misses": 91},
             "kron_cache": {"size": 60, "kronecker_hits": 0, "kronecker_misses": 60},
             "matmul_cache": {"size": 137, "matmul_hits": 0, "matmul_misses": 42,
                              "matmul_stack_hits": 38, "matmul_stack_misses": 95},

@@ -145,12 +145,12 @@ def test_separates_is_learned_exactly_on_circuit_layers(mgr):
     for algo, n in (("ghz", 64), ("bv", 16)):
         run_benchmark(mgr, algo, n)
     layers = list(mgr._layers.values())
-    learned = {layer: layer.reduced for layer in layers if layer.reduced is not None}
+    learned = dict(mgr.reduce_cache)
     # the runs stored layers that reduce to themselves and layers that do not
-    assert {new is layer for layer, (_, new, _) in learned.items()} == {True, False}
-    for layer, (classes, new, below) in learned.items():
-        expected, maps = reference_reduce_stack(layer, classes)
-        assert new is expected and below == maps[-2], layer
+    assert {new is layer for (layer, _), (new, _) in learned.items()} == {True, False}
+    for (layer, classes), (new, maps) in learned.items():
+        expected, expected_maps = reference_reduce_stack(layer, classes)
+        assert new is expected and list(maps) == expected_maps, layer
     for layer in layers:  # under singleton classes, the child's are singletons iff it separates
         _, maps = reduce_stack(layer, range(layer.num_states))
         separates = len(set(maps[-2])) == layer.child.num_states
@@ -163,7 +163,7 @@ def test_reduce_merges_below_a_table_that_does_not_separate(mgr, monkeypatch):
     top = mgr.intern_layer(level1, ((0, 1, 1), (2, 3, 3), (2, 3, 3)))
     values = [Value(v, 0) for v in range(4)]
     new_top, maps = reduce_stack(top, (0, 1, 2, 3))
-    assert top.reduced is None  # a top keeps no reduction
+    assert all(layer is not top for layer, _ in mgr.reduce_cache)  # a top is not memoized
     assert maps[1] == (0, 1, 1)
     assert new_top.table == ((0, 1), (2, 3))
     f = Tidd(new_top, tuple(values))
@@ -176,15 +176,15 @@ def test_reduce_merges_below_a_table_that_does_not_separate(mgr, monkeypatch):
     interned = []
     intern = mgr._intern
     monkeypatch.setattr(mgr, "_intern", lambda *args: interned.append(args) or intern(*args))
-    # level 1 kept its reduction from above, and level 2 rebuilds the table
-    # interned above: only the new top is new; then level 2 keeps its reduction
+    # level 1's reduction is a hit, and level 2 rebuilds the table interned
+    # above: only the new top is new; then level 2's reduction is a hit
     for rebuilt, grown in ((2, 1), (1, 0)):
         interned.clear()
         size = len(mgr._layers)
         new_above, maps = reduce_stack(above, range(16))
         assert len(interned) == rebuilt
         assert len(mgr._layers) - size == grown
-        assert top.reduced == ((0, 1, 2, 3), new_above.child, (0, 1, 1))
+        assert mgr.reduce_cache[top, (0, 1, 2, 3)] == (new_above.child, tuple(maps[:-1]))
         assert maps[1] == (0, 1, 1)
         assert new_above.child.table == ((0, 1), (2, 3))
         f = Tidd(new_above, tuple(values))
@@ -206,9 +206,9 @@ def test_reduce_stack_matches_reference_on_circuit_product_stacks(mgr, monkeypat
 
     def checked(top, raw_values):
         classes, _ = first_occurrence(map(as_value, raw_values))
-        slots = [layer.reduced for layer in top.stack()[1:-1]]
-        _, maps = assert_reduces_as_reference(top, classes)
-        hits.append(any(s is not None and s[0] == maps[s[1].level] for s in slots))
+        before = mgr.stats["reduce_hits"]
+        assert_reduces_as_reference(top, classes)
+        hits.append(mgr.stats["reduce_hits"] > before)
         stacks.append(top)
         return canonical_tidd(top, raw_values)
 
@@ -218,19 +218,19 @@ def test_reduce_stack_matches_reference_on_circuit_product_stacks(mgr, monkeypat
     assert len(stacks) > 20 and 0 < sum(hits) < len(hits)
 
 
-def test_reduce_stack_alternating_class_maps_overwrite_the_slots(mgr):
+def test_reduce_stack_alternating_class_maps_match_the_reference(mgr):
     rng = Random(23)
     tops = [_raw_canonical_stack(mgr, rng, 3) for _ in range(40)]
     tops += [f.top for f in (hadamard_family(mgr, 3), equality_relation(mgr, 3))]
-    overwritten = 0
+    differ = 0
     for top in tops:
         merged = (0,) * top.num_states
         singletons = tuple(range(top.num_states))
-        for _ in range(2):  # each pass overwrites the slots the other filled
+        for _ in range(2):  # the second pass reads what the first stored
             _, apart = assert_reduces_as_reference(top, singletons)
             _, together = assert_reduces_as_reference(top, merged)
-        overwritten += apart[-2] != together[-2]
-    assert overwritten >= 10
+        differ += apart[-2] != together[-2]
+    assert differ >= 10
 
 
 def test_reduce_output_validates_random(mgr):
