@@ -39,12 +39,13 @@ PRODUCT_STACK = "tests/test_linalg.py::test_product_stack_matches_reference_on_r
 SAMPLER = "tests/test_analysis.py::test_sample_draws_what_the_reference_sampler_draws"
 MEMO = "tests/test_core.py::test_memo_keys_on_the_body_arguments"
 
-# Manager.memo's read and fill, whose key two entries below change
+# Manager.memo's read, fill and count, whose key two entries below change
 MEMO_READ = (
     "hit = cache.get(args)\n"
-    "        self.stats[counter[hit is None]] += 1\n"
-    "        if hit is None:\n"
-    "            hit = cache[args] = compute(self, *args)"
+    "        miss = hit is None\n"
+    "        if miss:\n"
+    "            hit = cache[args] = compute(self, *args)\n"
+    "        self.stats[counter[miss]] += 1"
 )
 
 MUTANTS = [
@@ -103,6 +104,15 @@ MUTANTS = [
          f"{ERRORS}[pair product across Managers]"],
     ),
     (
+        "pair_product without its level check",
+        "tidd/ops.py",
+        "    if a.level != b.level:\n        raise LevelMismatch(",
+        "    if False:\n        raise LevelMismatch(",
+        ["tests/test_ops.py::test_pair_product_level_mismatch",
+         "tests/test_ops.py::test_apply_level_mismatch",
+         "tests/test_ops.py::test_kronecker_level_mismatch"],
+    ),
+    (
         "matmul across Managers",
         "tidd/linalg.py",
         "    if a.t.manager is not b.t.manager:\n        raise ManagerMismatch(",
@@ -129,6 +139,17 @@ MUTANTS = [
         MEMO_READ,
         MEMO_READ.replace("get(args)", "get(args[1:])").replace("[args]", "[args[1:]]"),
         [MEMO],
+    ),
+    (
+        "memo counts a miss before its body runs",
+        "tidd/core.py",
+        MEMO_READ,
+        "hit = cache.get(args)\n"
+        "        miss = hit is None\n"
+        "        self.stats[counter[miss]] += 1\n"
+        "        if miss:\n"
+        "            hit = cache[args] = compute(self, *args)",
+        [f"{ERRORS}[apply across Managers]", f"{ERRORS}[sample of the zero function]"],
     ),
     (
         "canonical check accepts any permutation",

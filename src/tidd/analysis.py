@@ -2,10 +2,10 @@
 
 The path count of a state q is the number of fixed-length bit strings whose
 assignment trees drive the automaton to q.  Counts are arbitrary-precision
-(the top counts at level l partition 2**(2**l)) and take one pass per table,
-cached per top layer: level-0 Fork states count 1 each, a DontCare counts 2,
-and a state above counts pathcount(a) * pathcount(b) over its incoming
-(a, b) transitions (canonical tables have no gaps, so every count is positive).
+(the top counts at level l partition 2**(2**l)) and take one uncached pass
+per table: level-0 Fork states count 1 each, a DontCare counts 2, and a
+state above counts pathcount(a) * pathcount(b) over its incoming (a, b)
+transitions (canonical tables have no gaps, so every count is positive).
 
 Sampling draws an assignment with probability proportional to its value by
 walking the diagram's draw plan, a flat tuple of nodes built on its first
@@ -25,7 +25,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from random import Random
 
-from .core import DRAW_PLAN, PATH_COUNTS, Layer, Manager, Tidd
+from .core import DRAW_PLAN, Layer, Manager, Tidd
 from .errors import NegativeWeight, ZeroDistribution
 
 PathCountAnnotation = tuple[tuple[int, ...], ...]
@@ -36,11 +36,7 @@ UNIFORM_BIT: PlanNode = ((1, 2), 2, 2, ((0,), (1,)), True)
 
 
 def layer_path_counts(top: Layer) -> PathCountAnnotation:
-    """Counts per level (level 0 first), cached on the manager."""
-    return top.manager.memo(PATH_COUNTS, _path_counts, top)
-
-
-def _path_counts(mgr: Manager, top: Layer) -> PathCountAnnotation:
+    """Counts per level (level 0 first), one pass per table."""
     layers = top.stack()
     per_level = [(1, 1) if layers[0].num_states == 2 else (2,)]
     for layer in layers[1:]:

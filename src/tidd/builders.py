@@ -104,7 +104,7 @@ def hadamard_family(mgr: Manager, i: int) -> Tidd:
     layer = mgr.intern_layer(mgr.fork(), ((0, 0), (0, 1)))
     for _ in range(2, i + 1):
         layer = mgr.intern_layer(layer, ((0, 1), (1, 0)))
-    return Tidd(layer, (Value.from_int(1), Value.from_int(-1)))
+    return Tidd(layer, (ONE, Value(-1, 0, 0)))
 
 
 def equality_relation(mgr: Manager, l: int) -> Tidd:

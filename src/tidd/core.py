@@ -106,12 +106,11 @@ COUNTERS = tuple(
     for name, cache in (
         ("pair_product", "pair_cache"), ("apply", "apply_cache"),
         ("reduce", "reduce_cache"), ("kronecker", "kron_cache"), ("matmul", "matmul_cache"),
-        ("matmul_stack", "matmul_cache"), ("path_counts", "path_count_cache"),
-        ("span", "span_cache"), ("draw_plan", "draw_plan_cache"),
+        ("matmul_stack", "matmul_cache"), ("span", "span_cache"),
+        ("draw_plan", "draw_plan_cache"),
     )
 )
-(PAIR_PRODUCT, APPLY, REDUCE, KRONECKER, MATMUL, MATMUL_STACK, PATH_COUNTS, SPAN,
- DRAW_PLAN) = COUNTERS
+PAIR_PRODUCT, APPLY, REDUCE, KRONECKER, MATMUL, MATMUL_STACK, SPAN, DRAW_PLAN = COUNTERS
 
 
 class Manager:
@@ -130,7 +129,6 @@ class Manager:
         self.kron_cache: dict = {}
         self.matmul_cache: dict = {}
         self.triple_sums: dict = {}
-        self.path_count_cache: dict = {}
         self.span_cache: dict = {}
         self.draw_plan_cache: dict = {}
         self.stats = {key: 0 for counter in COUNTERS for key in counter[:2]}
@@ -139,15 +137,17 @@ class Manager:
         """The cached ``compute(self, *args)``, stored under the key ``args``.
 
         ``counter`` is one of ``COUNTERS`` (hits key, misses key, cache name);
-        each read adds one hit or one miss to ``stats``.  The key is the
-        body's arguments, so a body that reads only them and this manager's
-        tables depends on nothing the key misses.  No result is None.
+        each read adds one hit or, once its result is stored, one miss to
+        ``stats``, so a body that raises stores and counts nothing.  The key
+        is the body's arguments, so a body that reads only them and this
+        manager's tables depends on nothing the key misses.  No result is None.
         """
         cache = getattr(self, counter[2])
         hit = cache.get(args)
-        self.stats[counter[hit is None]] += 1
-        if hit is None:
+        miss = hit is None
+        if miss:
             hit = cache[args] = compute(self, *args)
+        self.stats[counter[miss]] += 1
         return hit
 
     def snapshot(self) -> dict[str, dict[str, int]]:

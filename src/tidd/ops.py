@@ -125,8 +125,6 @@ def reduce_tidd(f: Tidd) -> Tidd:
 
 def apply(op: BinaryOp, f: Tidd, g: Tidd) -> Tidd:
     """Pointwise ``op`` of two same-level diagrams, canonical and minimal."""
-    if f.level != g.level:
-        raise LevelMismatch(f"levels {f.level} and {g.level}")
     return f.manager.memo(APPLY, _apply, op, f, g)
 
 
@@ -152,10 +150,9 @@ def kronecker(a: Tidd, b: Tidd) -> Tidd:
     some pair, some b[p] is nonzero and the ring has no zero divisors, so
     c's row fixes a[q], hence q, and its column fixes p; the top separates
     its child pairs, and a pair-product layer of canonical stacks separates
-    its own.  A zero top is reduced as usual.  Memoized in ``kron_cache``.
+    its own.  A zero top is reduced as usual.  Memoized in ``kron_cache``;
+    the operands are checked by ``pair_product`` alone.
     """
-    if a.level != b.level:
-        raise LevelMismatch(f"levels {a.level} and {b.level}")
     return a.manager.memo(KRONECKER, _kronecker, a, b)
 
 

@@ -57,14 +57,6 @@ class Value:
             return NotImplemented
         return self.a == other.a and self.b == other.b and self.k == other.k
 
-    @classmethod
-    def from_int(cls, n: int) -> Value:
-        return cls(n, 0, 0)
-
-    @classmethod
-    def from_bool(cls, flag: bool) -> Value:
-        return TRUE if flag else FALSE
-
     def __add__(self, other: Value) -> Value:
         if not isinstance(other, Value):
             return NotImplemented
@@ -94,10 +86,6 @@ class Value:
     def div_pow2(self, n: int) -> Value:
         """Exact division by 2**n (always closed in the ring)."""
         return Value(self.a, self.b, self.k + n)
-
-    def squared_magnitude(self) -> Value:
-        # values are real, so |v|^2 is plain squaring
-        return self * self
 
     def sign(self) -> int:
         """Exact sign: -1, 0, or +1.  Uses a*a vs 2*b*b when a, b disagree."""
@@ -151,9 +139,9 @@ def as_value(x: Value | bool | int) -> Value:
         if type(x.a) is int and type(x.b) is int and type(x.k) is int:
             return x
     elif isinstance(x, bool):
-        return Value.from_bool(x)
+        return TRUE if x else FALSE
     elif isinstance(x, int):
-        return Value.from_int(x)
+        return Value(x, 0, 0)
     raise ValueDomainError(f"cannot interpret {x!r} as a ring value")
 
 

@@ -314,12 +314,3 @@ def test_sample_weights_proportional_to_exact_weights(values):
         return
     for w, x in zip(weights, exact):
         assert abs(Fraction(w, weights[top]) - x / exact[top]) < Fraction(1, 2**100)
-
-
-def test_repeated_path_counts_record_one_hit(mgr):
-    f = hadamard_family(mgr, 3)
-    first = path_counts(f)
-    hits, misses = mgr.stats["path_counts_hits"], mgr.stats["path_counts_misses"]
-    assert path_counts(f) == first
-    assert mgr.stats["path_counts_hits"] == hits + 1
-    assert mgr.stats["path_counts_misses"] == misses

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from tidd import builders, linalg
+from tidd import analysis, builders, linalg
 from tidd import Value, equal, evaluate, identity_matrix, validate
 from tidd.bench import (
     GateSpec,
@@ -345,16 +345,23 @@ def test_measure_all_zero_state_raises(mgr):
         measure_distribution(zero, 10, Random(39))
 
 
-def test_second_measure_batch_reuses_the_squared_state(mgr):
+def test_second_measure_batch_reuses_the_squared_state(mgr, monkeypatch):
     state, _ = run_benchmark(mgr, "bv", 8, seed=0)
     measure_distribution(state, 10, Random(37))
     before = dict(mgr.stats)
+    counted = []
+    count_calls = analysis.layer_path_counts
+
+    def counting(top):
+        counted.append(top)
+        return count_calls(top)
+
+    monkeypatch.setattr(analysis, "layer_path_counts", counting)
     measure_distribution(state, 10, Random(38))
     assert mgr.stats["apply_hits"] == before["apply_hits"] + 1
     assert mgr.stats["apply_misses"] == before["apply_misses"]
     # one draw_plan read per sample call; a warm plan reads no path counts
-    assert mgr.stats["path_counts_hits"] == before["path_counts_hits"]
-    assert mgr.stats["path_counts_misses"] == before["path_counts_misses"]
+    assert counted == []
     assert mgr.stats["draw_plan_hits"] == before["draw_plan_hits"] + 10
     assert mgr.stats["draw_plan_misses"] == before["draw_plan_misses"]
 

@@ -360,7 +360,6 @@ def test_every_counter_matches_its_calls(mgr, monkeypatch):
     count(ops, "apply", "apply")
     count(ops, "kronecker", "kronecker")
     count(linalg, "matmul", "matmul")
-    count(analysis, "layer_path_counts", "path_counts")
     count(analysis, "draw_plan", "draw_plan")
     count(linalg, "kronecker", "kronecker")  # qubit_sum's own imports
     count(linalg, "apply", "apply")
@@ -437,7 +436,7 @@ def test_snapshot_reports_every_table_with_its_counters(mgr):
     snap = mgr.snapshot()
     names = (
         "_layers", "pair_cache", "apply_cache", "reduce_cache", "kron_cache", "matmul_cache",
-        "triple_sums", "path_count_cache", "span_cache", "draw_plan_cache",
+        "triple_sums", "span_cache", "draw_plan_cache",
     )
     tables = {name: getattr(mgr, name) for name in names}
     assert set(snap) == set(tables)

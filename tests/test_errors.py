@@ -1,10 +1,22 @@
-"""The argument checks: each bad size or count raises its typed error."""
+"""The argument checks: each bad size or count raises its typed error and
+leaves every operation cache holding one entry per counted miss."""
 
 from random import Random
 
 import pytest
 
-from tidd import PLUS, Manager, Value, apply, builders, equal, errors, kronecker, pair_product
+from tidd import (
+    PLUS,
+    Manager,
+    Value,
+    apply,
+    builders,
+    equal,
+    errors,
+    kronecker,
+    pair_product,
+    sample,
+)
 from tidd.bench import _I, _X, GateSpec, measure_distribution
 from tidd.builders import (
     constant,
@@ -18,10 +30,13 @@ from tidd.errors import (
     ArityMismatch,
     CanonicalOrderViolation,
     IndexOutOfRange,
+    LevelMismatch,
     ManagerMismatch,
+    NegativeWeight,
     NotPowerOfTwo,
     OracleScaleLimit,
     ValueDomainError,
+    ZeroDistribution,
     require_at_least,
     require_dense,
     require_power_of_two,
@@ -60,6 +75,11 @@ def _hadamard_top(mgr):
 def _two_managers(mgr):
     """The same one-qubit Hadamard diagram, built in ``mgr`` and in a new Manager."""
     return hadamard_family(mgr, 1), hadamard_family(Manager(), 1)
+
+
+def _two_levels(mgr):
+    """Constant 1 diagrams of levels 1 and 2."""
+    return constant(mgr, 1, 1), constant(mgr, 2, 1)
 
 
 BAD_ARGUMENTS = [
@@ -112,6 +132,14 @@ BAD_ARGUMENTS = [
     ("matmul across Managers",
      lambda m: matmul(*(MatrixTidd(f, 1) for f in _two_managers(m))), ManagerMismatch),
     ("equal across Managers", lambda m: equal(*_two_managers(m)), ManagerMismatch),
+    ("apply across levels", lambda m: apply(PLUS, *_two_levels(m)), LevelMismatch),
+    ("kronecker across levels", lambda m: kronecker(*_two_levels(m)), LevelMismatch),
+    ("pair product across levels",
+     lambda m: pair_product(*(f.top for f in _two_levels(m))), LevelMismatch),
+    ("sample of negative values",
+     lambda m: sample(hadamard_family(m, 2), Random(0)), NegativeWeight),
+    ("sample of the zero function",
+     lambda m: sample(constant(m, 2, 0), Random(0)), ZeroDistribution),
 ]
 
 
@@ -123,6 +151,11 @@ BAD_ARGUMENTS = [
 def test_bad_argument_raises_its_typed_error(mgr, call, error):
     with pytest.raises(error):
         call(mgr)
+    # a cached body that raises stores and counts nothing
+    for name, entry in mgr.snapshot().items():
+        misses = [value for key, value in entry.items() if key.endswith("_misses")]
+        if misses:
+            assert entry["size"] == sum(misses), name
 
 
 def test_each_minimum_is_accepted(mgr):

@@ -136,7 +136,6 @@ INTERNED = {
             "matmul_cache": {"size": 190, "matmul_hits": 0, "matmul_misses": 64,
                              "matmul_stack_hits": 62, "matmul_stack_misses": 126},
             "triple_sums": {"size": 12},
-            "path_count_cache": {"size": 0, "path_counts_hits": 0, "path_counts_misses": 0},
             "span_cache": {"size": 216, "span_hits": 332, "span_misses": 216},
             "draw_plan_cache": {"size": 0, "draw_plan_hits": 0, "draw_plan_misses": 0},
         },
@@ -152,7 +151,6 @@ INTERNED = {
             "matmul_cache": {"size": 137, "matmul_hits": 0, "matmul_misses": 42,
                              "matmul_stack_hits": 38, "matmul_stack_misses": 95},
             "triple_sums": {"size": 147},
-            "path_count_cache": {"size": 0, "path_counts_hits": 0, "path_counts_misses": 0},
             "span_cache": {"size": 64, "span_hits": 99, "span_misses": 64},
             "draw_plan_cache": {"size": 0, "draw_plan_hits": 0, "draw_plan_misses": 0},
         },

@@ -78,7 +78,7 @@ def test_arithmetic():
 
 def test_sqrt2_half_squares_to_half_and_doubles_to_sqrt2():
     assert SQRT2_HALF + SQRT2_HALF == Value(0, 1, 0)
-    assert SQRT2_HALF.squared_magnitude() == Value(1, 0, 1)
+    assert SQRT2_HALF * SQRT2_HALF == Value(1, 0, 1)
 
 
 def test_ring_closure_random():
