@@ -3,7 +3,7 @@
 Run from anywhere, for every entry or for the named ones:
 
     python scripts/mutants.py
-    python scripts/mutants.py "reduce: no keep shortcut" ...
+    python scripts/mutants.py "reduce: no top-class check" ...
 
 An entry of ``MUTANTS`` is (name, file under ``src/``, exact old text, new
 text, pytest node ids).  The named tests first run once, together, against an
@@ -30,8 +30,9 @@ MEMORY_BYTES = 1 << 30
 CPU_SECONDS = 60
 
 REFERENCE = "tests/test_ops.py::test_reduce_stack_matches_reference_on_circuit_product_stacks"
-MINIMAL = "tests/test_ops.py::test_reduce_stack_keeps_a_minimal_stack"
-LEARNED = "tests/test_ops.py::test_separates_is_learned_exactly_on_circuit_layers"
+LEARNED = (
+    "tests/test_ops.py::test_circuit_reductions_match_the_reference_and_brute_force_separation"
+)
 ALTERNATING = "tests/test_ops.py::test_reduce_stack_alternating_class_maps_match_the_reference"
 ERRORS = "tests/test_errors.py::test_bad_argument_raises_its_typed_error"
 CLEAR = "tests/test_core.py::test_clear_caches_empties_them_and_reruns_match"
@@ -52,8 +53,8 @@ MUTANTS = [
     (
         "reduce: child maps carry the level's own classes",
         "tidd/ops.py",
-        "return layer, (*class_of, classes)",
-        "return layer, (*class_of[:-1], classes, classes)",
+        "return mgr._intern(child, rows, max(classes) + 1), (*class_of, classes)",
+        "return mgr._intern(child, rows, max(classes) + 1), (*class_of[:-1], classes, classes)",
         [REFERENCE, LEARNED],
     ),
     (
@@ -71,13 +72,6 @@ MUTANTS = [
         "    if False:\n"
         "        raise CanonicalOrderViolation(",
         [f"{ERRORS}[top classes (1, 0)]", f"{ERRORS}[top classes (0, 2)]"],
-    ),
-    (
-        "reduce: no keep shortcut",
-        "tidd/ops.py",
-        "if child is not layer.child or rows != layer.table:",
-        "if True:",
-        [MINIMAL],
     ),
     (
         "reduce: signatures from mapped rows only",
@@ -118,6 +112,28 @@ MUTANTS = [
         "    if a.t.manager is not b.t.manager:\n        raise ManagerMismatch(",
         "    if False:\n        raise ManagerMismatch(",
         [f"{ERRORS}[matmul across Managers]"],
+    ),
+    (
+        "matmul without its qubit check",
+        "tidd/linalg.py",
+        "    if a.qubits != b.qubits:\n        raise ShapeMismatch(",
+        "    if False:\n        raise ShapeMismatch(",
+        ["tests/test_linalg.py::test_matvec_shape_mismatch",
+         "tests/test_linalg.py::test_matmul_shape_mismatch"],
+    ),
+    (
+        "MatrixTidd accepts a one-variable diagram",
+        "tidd/linalg.py",
+        "        if self.t.level == 0:\n            raise ShapeMismatch(",
+        "        if False:\n            raise ShapeMismatch(",
+        ["tests/test_linalg.py::test_matrix_shape_checks"],
+    ),
+    (
+        "as_value stores an int subclass",
+        "tidd/values.py",
+        "return Value(int(x), 0, 0)",
+        "return Value(x, 0, 0)",
+        ["tests/test_values.py::test_as_value_stores_an_int_subclass_as_an_int"],
     ),
     (
         "equal across Managers",

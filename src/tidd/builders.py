@@ -10,8 +10,7 @@ binary-operation machinery.
 from __future__ import annotations
 
 from .core import Layer, Manager, Tidd
-# MAX_DENSE_VARS stays importable here, where the README documents it.
-from .errors import MAX_DENSE_VARS, IndexOutOfRange, TruthTableLengthMismatch
+from .errors import IndexOutOfRange, TruthTableLengthMismatch
 from .errors import require_at_least, require_dense, require_power_of_two
 from .ops import apply, canonical_tidd
 from .values import AND, FALSE, ONE, TRUE, Value, XOR, ZERO, as_value
@@ -53,9 +52,9 @@ def projection(mgr: Manager, level: int, index: int) -> Tidd:
     return Tidd(layer, (FALSE, TRUE))
 
 
-def negation(mgr: Manager, f: Tidd) -> Tidd:
+def negation(f: Tidd) -> Tidd:
     """Boolean NOT via XOR with the constant true."""
-    return apply(XOR, f, constant(mgr, f.level, TRUE))
+    return apply(XOR, f, constant(f.manager, f.level, TRUE))
 
 
 def exact_string_proto(mgr: Manager, level: int) -> Layer:
@@ -131,7 +130,7 @@ def _anti_diagonal_prefixes(mgr: Manager, n: int) -> list[Tidd]:
     require_dense(2 * n, "the desk-scale anti-diagonal family's widest table")
     prefixes: list[Tidd] = []
     for i in range(n):
-        factor = negation(mgr, projection(mgr, level, i * n + n - 1 - i))
+        factor = negation(projection(mgr, level, i * n + n - 1 - i))
         prefixes.append(apply(AND, prefixes[-1], factor) if prefixes else factor)
     return prefixes
 

@@ -280,17 +280,16 @@ def evaluate(f: Tidd, assignment) -> Value:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
     constraint: str | None = None
     location: str | None = None
     detail: str | None = None
 
+    @property
+    def ok(self) -> bool:
+        return self.constraint is None
+
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _fail(constraint: str, location: str, detail: str) -> ValidationReport:
-    return ValidationReport(False, constraint, location, detail)
 
 
 def validate(f: Tidd) -> ValidationReport:
@@ -308,17 +307,17 @@ def validate(f: Tidd) -> ValidationReport:
         table = layer.table
         side = layer.child.num_states
         if len(table) != side or any(len(row) != side for row in table):
-            return _fail("arity", loc, "table side != child state count")
+            return ValidationReport("arity", loc, "table side != child state count")
         for row in table:
             for entry in row:
                 if not 0 <= entry < layer.num_states:
-                    return _fail("totality", loc, f"entry {entry} out of range")
+                    return ValidationReport("totality", loc, f"entry {entry} out of range")
         try:
             count = check_canonical_order(table)
         except CanonicalOrderViolation as exc:
-            return _fail("2(iii) canonical order", loc, str(exc))
+            return ValidationReport("2(iii) canonical order", loc, str(exc))
         if count != layer.num_states:
-            return _fail(
+            return ValidationReport(
                 "state count", loc,
                 f"distinct entries {count} != recorded {layer.num_states}",
             )
@@ -328,23 +327,23 @@ def validate(f: Tidd) -> ValidationReport:
             j = next(j for j, c in enumerate(numbers) if numbers.count(c) > 1)
             k = numbers.index(numbers[j], j + 1)
             detail = f"child states {j} and {k} are indistinguishable"
-            return _fail("2(v) distinguishability", loc, detail)
+            return ValidationReport("2(v) distinguishability", loc, detail)
 
     if len(f.values) != f.top.num_states:
-        return _fail(
+        return ValidationReport(
             "value tuple", "values",
             f"{len(f.values)} values for {f.top.num_states} top states",
         )
     seen: set[Value] = set()
     for j, v in enumerate(f.values):
         if not isinstance(v, Value):
-            return _fail("value tuple", "values", f"entry {j} is not a ring value")
+            return ValidationReport("value tuple", "values", f"entry {j} is not a ring value")
         if v in seen:
-            return _fail(
+            return ValidationReport(
                 "2(iv) value bijection", "values", f"duplicate value at index {j}"
             )
         seen.add(v)
-    return ValidationReport(True)
+    return ValidationReport()
 
 
 @dataclass(frozen=True)

@@ -54,19 +54,14 @@ class MatrixTidd:
     """A 2**n x 2**n matrix as a diagram over 2n interleaved variables."""
 
     t: Tidd
-    qubits: int
 
     def __post_init__(self) -> None:
-        n = self.qubits
-        require_power_of_two(n, 1, "qubit count")
-        if (1 << self.t.level) != 2 * n:
-            raise ShapeMismatch(
-                f"{n} qubits need {2 * n} variables, diagram has {1 << self.t.level}"
-            )
+        if self.t.level == 0:
+            raise ShapeMismatch("a one-variable diagram is not a matrix")
 
     @property
-    def level(self) -> int:
-        return self.t.level
+    def qubits(self) -> int:
+        return 1 << (self.t.level - 1)
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,7 @@ class VectorTidd:
 def identity_matrix(mgr: Manager, qubits: int) -> MatrixTidd:
     """The identity: the equality relation over interleaved variables."""
     level = require_power_of_two(qubits, 1, "qubit count") + 1  # log2(2 * qubits)
-    return MatrixTidd(equality_relation(mgr, level), qubits)
+    return MatrixTidd(equality_relation(mgr, level))
 
 
 def qubit_sum(mgr: Manager, qubits: int, terms, blank: tuple) -> MatrixTidd:
@@ -106,7 +101,7 @@ def qubit_sum(mgr: Manager, qubits: int, terms, blank: tuple) -> MatrixTidd:
         factors = tuple(sorted((q, tuple(map(as_value, e))) for q, e in t.items()))
         products.append(mgr.memo(SPAN, _build_span, qubits, factors, blank))
     require_at_least(len(products), 1, "term count")
-    return MatrixTidd(reduce(partial(apply, PLUS), products), qubits)
+    return MatrixTidd(reduce(partial(apply, PLUS), products))
 
 
 def _build_span(mgr: Manager, size: int, factors: tuple, blank: tuple) -> Tidd:
@@ -218,13 +213,11 @@ def matmul(a: MatrixTidd, b: MatrixTidd) -> MatrixTidd:
         sum(((a.t.values[q] * b.t.values[p]).scale_int(w) for q, p, w in s), ZERO)
         for s in sums
     ]
-    return MatrixTidd(canonical_tidd(top, raw_values), a.qubits)
+    return MatrixTidd(canonical_tidd(top, raw_values))
 
 
 def matvec(a: MatrixTidd, v: VectorTidd) -> VectorTidd:
     """Matrix-vector product through column replication: A (v 1^T) = (A v) 1^T."""
-    if a.qubits != v.qubits:
-        raise ShapeMismatch(f"qubit counts {a.qubits} and {v.qubits}")
     return VectorTidd(matmul(a, v.t))
 
 

@@ -100,13 +100,11 @@ def _reduce(mgr: Manager, layer: Layer, classes: tuple[int, ...]) -> tuple[Layer
     # the row and column of first states (an earlier member of either class
     # would hold E earlier), and first states increase with their class, so
     # the new table scans its cells in the order of those old cells and E
-    # first appears before E + 1.  Rebuilt tables skip the check; one equal
-    # to the old over the same child is kept.
+    # first appears before E + 1.  Rebuilt tables skip the check; interning
+    # returns the old layer for an equal table over the same child.
     members = {c: q for q, c in enumerate(below)}.values()  # one per class, in class order
     rows = tuple(tuple(map(mapped[q].__getitem__, members)) for q in members)
-    if child is not layer.child or rows != layer.table:
-        layer = mgr._intern(child, rows, max(classes) + 1)
-    return layer, (*class_of, classes)
+    return mgr._intern(child, rows, max(classes) + 1), (*class_of, classes)
 
 
 def canonical_tidd(top: Layer, raw_values) -> Tidd:

@@ -55,10 +55,6 @@ class DenseFunction:
         """Every entry's value, built once; library code reads ``index``."""
         return tuple(map(self.palette.__getitem__, self.index))
 
-    @property
-    def num_vars(self) -> int:
-        return 1 << self.level
-
 
 def _dense_size(level: int) -> int:
     """2**(2**level), the output count of a dense table at ``level``."""

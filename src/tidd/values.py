@@ -141,7 +141,7 @@ def as_value(x: Value | bool | int) -> Value:
     elif isinstance(x, bool):
         return TRUE if x else FALSE
     elif isinstance(x, int):
-        return Value(x, 0, 0)
+        return Value(int(x), 0, 0)
     raise ValueDomainError(f"cannot interpret {x!r} as a ring value")
 
 

@@ -1,9 +1,9 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
 one PASS line (run with -s to see them on success).
 
-Diagrams built here are registered so the final structural-health criterion
-can sweep validate() and reduction idempotence over everything the suite
-produced.
+Diagrams built here are registered per criterion, so criteria 6, 9 and 12
+can sweep what the earlier criteria produced; an earlier criterion not yet
+run when a sweep needs it runs first, so each sweep passes when run alone.
 """
 
 import time
@@ -57,22 +57,44 @@ from tidd.oracle import (
 from helpers import tv_distance
 
 MGR = Manager()
-REGISTRY: list = []  # diagrams produced by the suite, swept by criterion 12
-IN_SCALE: list = []  # subset within oracle scale, swept by criterion 6
+PRODUCERS: list = []  # the criteria that register diagrams, in file order
+REGISTRY: dict = {}  # criterion -> (the diagrams it produced, the subset within oracle scale)
 
 
-def register(t, in_scale=None):
-    REGISTRY.append(t)
-    if in_scale if in_scale is not None else t.num_vars <= 16:
-        IN_SCALE.append(t)
-    return t
+def producer(criterion):
+    PRODUCERS.append(criterion)
+    return criterion
+
+
+def recorder(criterion):
+    """Start ``criterion``'s record afresh and return its ``register``."""
+    produced, in_oracle_scale = REGISTRY[criterion] = [], []
+
+    def register(t, in_scale=None):
+        produced.append(t)
+        if in_scale if in_scale is not None else t.num_vars <= 16:
+            in_oracle_scale.append(t)
+        return t
+
+    return register
+
+
+def registered(sweep, in_scale=False):
+    """What the criteria before ``sweep`` registered, in order; one not yet run runs first."""
+    criteria = [c for c in PRODUCERS if c.__name__ < sweep.__name__]
+    for criterion in criteria:
+        if criterion not in REGISTRY:
+            criterion()
+    return [t for criterion in criteria for t in REGISTRY[criterion][in_scale]]
 
 
 def report(n, message):
     print(f"\nACCEPTANCE {n} PASS: {message}")
 
 
+@producer
 def test_criterion_01_hadamard_sizes():
+    register = recorder(test_criterion_01_hadamard_sizes)
     start = time.perf_counter()
     for i in range(1, 17):
         h = hadamard_family(MGR, i)
@@ -89,7 +111,9 @@ def test_criterion_01_hadamard_sizes():
     report(1, f"hadamard states 2i+2 and edges 4i+2 for i=1..16 ({elapsed:.3f}s)")
 
 
+@producer
 def test_criterion_02_equality_sizes():
+    register = recorder(test_criterion_02_equality_sizes)
     start = time.perf_counter()
     for l in range(1, 17):
         e = equality_relation(MGR, l)
@@ -101,7 +125,9 @@ def test_criterion_02_equality_sizes():
     report(2, f"equality states 2l+2 for l=1..16 ({elapsed:.3f}s)")
 
 
+@producer
 def test_criterion_03_anti_diagonal_blowup():
+    register = recorder(test_criterion_03_anti_diagonal_blowup)
     start = time.perf_counter()
     measured = {}
     for n in (2, 4, 8):
@@ -124,7 +150,9 @@ def test_criterion_03_anti_diagonal_blowup():
               f"doubling per folded factor ({elapsed:.1f}s)")
 
 
+@producer
 def test_criterion_04_oracle_pointwise_equivalence():
+    register = recorder(test_criterion_04_oracle_pointwise_equivalence)
     start = time.perf_counter()
     rng = Random(2024)
     for num_vars in (4, 8, 16):
@@ -146,7 +174,7 @@ def _random_ac_case(rng):
     for _ in range(rng.randint(3, 6)):
         p = projection(MGR, level, rng.randrange(8))
         if rng.random() < 0.4:
-            p = negation(MGR, p)
+            p = negation(p)
         terms.append(p)
     return op, terms
 
@@ -168,7 +196,9 @@ def _fold_random_tree(op, terms, rng):
     return items[0]
 
 
+@producer
 def test_criterion_05_canonicity():
+    register = recorder(test_criterion_05_canonicity)
     rng = Random(99)
     for _ in range(100):
         op, terms = _random_ac_case(rng)
@@ -182,11 +212,12 @@ def test_criterion_05_canonicity():
 
 
 def test_criterion_06_minimality():
+    in_scale = registered(test_criterion_06_minimality, in_scale=True)
+    assert in_scale, "earlier criteria must have registered in-scale diagrams"
     start = time.perf_counter()
-    assert IN_SCALE, "earlier criteria must have registered in-scale diagrams"
     checked = 0
     seen = set()
-    for f in IN_SCALE:
+    for f in in_scale:
         if f in seen:
             continue
         seen.add(f)
@@ -200,10 +231,12 @@ def test_criterion_06_minimality():
               f"{checked} diagrams ({elapsed:.1f}s)")
 
 
+@producer
 def test_criterion_07_matrix_multiplication():
+    register = recorder(test_criterion_07_matrix_multiplication)
     start = time.perf_counter()
     rng = Random(4242)
-    h = MatrixTidd(hadamard_family(MGR, 1), 1)
+    h = MatrixTidd(hadamard_family(MGR, 1))
     assert equal(matmul(h, h).t, scalar_multiply(2, identity_matrix(MGR, 1).t))
     cases = 0
     for qubits in (1, 2, 4):
@@ -211,9 +244,9 @@ def test_criterion_07_matrix_multiplication():
         level = qubits.bit_length()
         for _ in range(34 if qubits == 1 else 33):
             table = [rng.randint(-3, 3) for _ in range(1 << (1 << level))]
-            a = MatrixTidd(from_truth_table(MGR, level, table), qubits)
+            a = MatrixTidd(from_truth_table(MGR, level, table))
             table = [rng.randint(-3, 3) for _ in range(1 << (1 << level))]
-            b = MatrixTidd(from_truth_table(MGR, level, table), qubits)
+            b = MatrixTidd(from_truth_table(MGR, level, table))
             register(a.t)
             register(b.t)
             product = matmul(a, b)
@@ -238,7 +271,7 @@ def test_criterion_08_kronecker_recurrence():
 def test_criterion_09_path_counting():
     assert path_counts(hadamard_family(MGR, 1))[1] == (3, 1)
     assert top_path_counts(equality_relation(MGR, 2)) == (4, 12)
-    subjects = [f for f in REGISTRY if f.level <= 6]
+    subjects = [f for f in registered(test_criterion_09_path_counting) if f.level <= 6]
     subjects += [hadamard_family(MGR, 6), equality_relation(MGR, 6)]
     for f in subjects:
         assert sum(top_path_counts(f)) == 1 << (1 << f.level)
@@ -246,7 +279,9 @@ def test_criterion_09_path_counting():
               f"H_2 counts (3,1); EQ_4 counts (4,12)")
 
 
+@producer
 def test_criterion_10_sampling():
+    register = recorder(test_criterion_10_sampling)
     start = time.perf_counter()
     shots = 10_000
 
@@ -261,7 +296,7 @@ def test_criterion_10_sampling():
     assert tv_distance(hist, exact, shots) < 0.05
 
     ghz_state, _ = run_benchmark(MGR, "ghz", 8, seed=0)
-    REGISTRY.append(ghz_state.t.t)
+    register(ghz_state.t.t, in_scale=False)
     hist = measure_distribution(ghz_state, shots, Random(1002))
     assert set(hist) == {"0" * 8, "1" * 8}
     assert 0.45 <= hist["0" * 8] / shots <= 0.55
@@ -271,7 +306,7 @@ def test_criterion_10_sampling():
     bv_state, _ = run_circuit(
         MGR, bv_circuit(8, secret), vector_from_basis_state(MGR, 8, (0,) * 8)
     )
-    REGISTRY.append(bv_state.t.t)
+    register(bv_state.t.t, in_scale=False)
     hist = measure_distribution(bv_state, 100, Random(1003))
     assert hist == {"".join(map(str, secret)): 100}
 
@@ -291,7 +326,9 @@ def _affine_fit(xs, ys):
     return slope, mean_y - slope * mean_x
 
 
+@producer
 def test_criterion_11_benchmark_trends():
+    register = recorder(test_criterion_11_benchmark_trends)
     start = time.perf_counter()
 
     ks = list(range(6, 13))
@@ -301,7 +338,7 @@ def test_criterion_11_benchmark_trends():
         totals.append(metrics.final_size.total)
         assert metrics.max_intermediate_size <= 10 * metrics.final_size.total
         if k == 6:
-            REGISTRY.append(state.t.t)
+            register(state.t.t, in_scale=False)
     slope, intercept = _affine_fit(ks, totals)
     for k, total in zip(ks, totals):
         assert abs(total - (slope * k + intercept)) < 0.10 * total
@@ -310,7 +347,7 @@ def test_criterion_11_benchmark_trends():
     for n in (8, 16, 32):
         state, metrics = run_benchmark(MGR, "dj", n, seed=0)
         dj_max.append(metrics.max_intermediate_size)
-        REGISTRY.append(state.t.t)
+        register(state.t.t, in_scale=False)
     assert dj_max[1] >= 2 * dj_max[0]
     assert dj_max[2] >= 2 * dj_max[1]
 
@@ -321,10 +358,11 @@ def test_criterion_11_benchmark_trends():
 
 
 def test_criterion_12_structural_health():
-    assert REGISTRY, "earlier criteria must have registered diagrams"
+    produced = registered(test_criterion_12_structural_health)
+    assert produced, "earlier criteria must have registered diagrams"
     seen = set()
     checked = 0
-    for f in REGISTRY:
+    for f in produced:
         if f in seen:
             continue
         seen.add(f)

@@ -206,8 +206,7 @@ def test_gate_unitarity(mgr):
         side = len(transpose_grid)
         transposed = [[transpose_grid[c][r] for c in range(side)] for r in range(side)]
         gt = MatrixTidd(
-            from_truth_table(mgr, g.t.level, matrix_to_dense(transposed, g.t.level).outputs),
-            n,
+            from_truth_table(mgr, g.t.level, matrix_to_dense(transposed, g.t.level).outputs)
         )
         assert equal(matmul(gt, g).t, identity_matrix(mgr, n).t)
 
@@ -340,7 +339,7 @@ def test_measure_bv_returns_secret(mgr):
 
 
 def test_measure_all_zero_state_raises(mgr):
-    zero = linalg.VectorTidd(MatrixTidd(builders.constant(mgr, 2, 0), 2))
+    zero = linalg.VectorTidd(MatrixTidd(builders.constant(mgr, 2, 0)))
     with pytest.raises(ZeroDistribution):
         measure_distribution(zero, 10, Random(39))
 

@@ -186,7 +186,7 @@ def test_anti_diagonal_fold_association_invariance(mgr):
     n = 4
     level = 4
     factors = [
-        negation(mgr, projection(mgr, level, i * n + n - 1 - i)) for i in range(n)
+        negation(projection(mgr, level, i * n + n - 1 - i)) for i in range(n)
     ]
     left = factors[0]
     for fac in factors[1:]:

@@ -10,7 +10,6 @@ from tidd import (
     Manager,
     Value,
     apply,
-    builders,
     equal,
     errors,
     kronecker,
@@ -130,7 +129,7 @@ BAD_ARGUMENTS = [
     ("pair product across Managers",
      lambda m: pair_product(*(f.top for f in _two_managers(m))), ManagerMismatch),
     ("matmul across Managers",
-     lambda m: matmul(*(MatrixTidd(f, 1) for f in _two_managers(m))), ManagerMismatch),
+     lambda m: matmul(*(MatrixTidd(f) for f in _two_managers(m))), ManagerMismatch),
     ("equal across Managers", lambda m: equal(*_two_managers(m)), ManagerMismatch),
     ("apply across levels", lambda m: apply(PLUS, *_two_levels(m)), LevelMismatch),
     ("kronecker across levels", lambda m: kronecker(*_two_levels(m)), LevelMismatch),
@@ -192,4 +191,3 @@ def test_dense_cap_is_shared():
     require_dense(errors.MAX_DENSE_VARS, "table")
     with pytest.raises(OracleScaleLimit, match="exceeds"):
         require_dense(errors.MAX_DENSE_VARS + 1, "table")
-    assert builders.MAX_DENSE_VARS is errors.MAX_DENSE_VARS

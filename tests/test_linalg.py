@@ -58,18 +58,16 @@ from helpers import (
 def random_matrix(mgr, rng, qubits):
     level = qubits.bit_length()
     table = random_truth_table(rng, level, values=(0, 1, 2, 3, -1, -2))
-    return MatrixTidd(from_truth_table(mgr, level, table), qubits)
+    return MatrixTidd(from_truth_table(mgr, level, table))
 
 
 def test_matrix_shape_checks(mgr):
     with pytest.raises(ShapeMismatch):
-        MatrixTidd(hadamard_family(mgr, 1), 3)
-    with pytest.raises(ShapeMismatch):
-        MatrixTidd(hadamard_family(mgr, 2), 1)
+        MatrixTidd(constant(mgr, 0, 1))  # one variable
 
 
 def test_matmul_hadamard_squared(mgr):
-    h = MatrixTidd(hadamard_family(mgr, 1), 1)
+    h = MatrixTidd(hadamard_family(mgr, 1))
     hh = matmul(h, h)
     assert set(str(v) for v in hh.t.values) == {"2,0,0", "0,0,0"}
     assert equal(hh.t, scalar_multiply(2, identity_matrix(mgr, 1).t))
@@ -103,7 +101,7 @@ def test_matmul_matches_dense_at_packed_key_shifts(mgr, states):
     for qubits in (1, 2, 4):
         level = qubits.bit_length()
         entries = [Value(1 + i % states, 0) for i in range(1 << (1 << level))]
-        b = MatrixTidd(from_truth_table(mgr, level, entries), qubits)
+        b = MatrixTidd(from_truth_table(mgr, level, entries))
         assert b.t.top.num_states == states
         for _ in range(4):
             a = random_matrix(mgr, rng, qubits)
@@ -143,7 +141,7 @@ def test_matmul_associative_handles(mgr):
 def test_matmul_all_ones_weights(mgr):
     for qubits in (1, 2, 4):
         level = qubits.bit_length()
-        ones = MatrixTidd(constant(mgr, level, 1), qubits)
+        ones = MatrixTidd(constant(mgr, level, 1))
         product = matmul(ones, ones)
         assert product.t.values == (Value(1 << qubits, 0),)
 
@@ -153,6 +151,11 @@ def test_matmul_shape_mismatch(mgr):
     b = identity_matrix(mgr, 2)
     with pytest.raises(ShapeMismatch):
         matmul(a, b)
+
+
+def test_matvec_shape_mismatch(mgr):
+    with pytest.raises(ShapeMismatch, match="qubit counts 2 and 1"):
+        matvec(identity_matrix(mgr, 2), vector_from_basis_state(mgr, 1, (0,)))
 
 
 def dead_states(f):
@@ -376,7 +379,7 @@ def test_matmul_of_an_operand_with_two_equal_dead_states_matches_dense(mgr):
     level1 = mgr.intern_layer(mgr.fork(), ((0, 1), (2, 0)))
     level2 = mgr.intern_layer(level1, ((0, 1, 2), (1, 3, 0), (2, 0, 3)))
     top = mgr.intern_layer(level2, ((0, 1, 1, 1), (2, 3, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1)))
-    a = MatrixTidd(Tidd(top, tuple(Value(v, 0) for v in (5, 0, -3, 7))), 4)
+    a = MatrixTidd(Tidd(top, tuple(Value(v, 0) for v in (5, 0, -3, 7))))
     assert validate(a.t).constraint == "2(v) distinguishability"
     assert _dead_below(top, _dead_top(a.t)) == (2, 3)
     assert _dead_below(level2, (2, 3)) == ()
@@ -494,7 +497,7 @@ def projection_fold_basis_state(mgr, qubits, bits):
     for i, b in enumerate(bits):
         factor = projection(mgr, level, 2 * i)  # row variable x_i
         if not b:
-            factor = negation(mgr, factor)
+            factor = negation(factor)
         result = factor if result is None else apply(AND, result, factor)
     return result
 
@@ -599,7 +602,7 @@ def test_matvec_preserves_replication(mgr):
 def test_replication_preserved_by_plus(mgr):
     v1 = vector_from_basis_state(mgr, 2, (0, 1))
     v2 = vector_from_basis_state(mgr, 2, (1, 0))
-    combined = VectorTidd(MatrixTidd(apply(PLUS, v1.t.t, v2.t.t), 2))
+    combined = VectorTidd(MatrixTidd(apply(PLUS, v1.t.t, v2.t.t)))
     assert is_column_replicated(combined.t)
     assert vector_amplitudes(combined) == [
         Value(0, 0),
@@ -641,7 +644,7 @@ def assert_new_values_read_the_memo(mgr, change, hit):
         a = random_matrix(mgr, rng, qubits)
         b = random_matrix(mgr, rng, qubits)
         matmul(a, b)
-        changed = MatrixTidd(Tidd(a.t.top, tuple(change(v) for v in a.t.values)), qubits)
+        changed = MatrixTidd(Tidd(a.t.top, tuple(change(v) for v in a.t.values)))
         assert (_dead_top(changed.t) == _dead_top(a.t)) == hit
         hits = mgr.stats["matmul_hits"]
         got = dense_from_tidd(matmul(changed, b).t)

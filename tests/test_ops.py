@@ -103,23 +103,18 @@ def test_reduce_idempotent_on_canonical(mgr):
         assert g.values == f.values
 
 
-def test_reduce_stack_keeps_a_minimal_stack(mgr, monkeypatch):
+def test_reduce_stack_keeps_a_minimal_stack(mgr):
     fs = (
         hadamard_family(mgr, 3),
         equality_relation(mgr, 2),
         constant(mgr, 2, 4),
         projection(mgr, 3, 2),
     )
-
-    def no_intern(child, table, num_states):
-        raise AssertionError("a minimal stack needs no new layer")
-
-    # every table, checked or rebuilt, is interned through _intern
-    monkeypatch.setattr(mgr, "_intern", no_intern)
+    size = len(mgr._layers)
     for f in fs:
         classes, _ = first_occurrence(f.values)
         top, maps = reduce_stack(f.top, classes)
-        assert top is f.top
+        assert top is f.top and len(mgr._layers) == size  # no new layer
         assert maps == [tuple(range(layer.num_states)) for layer in f.top.stack()]
 
 
@@ -141,7 +136,7 @@ def separates_by_brute_force(layer):
     )
 
 
-def test_separates_is_learned_exactly_on_circuit_layers(mgr):
+def test_circuit_reductions_match_the_reference_and_brute_force_separation(mgr):
     for algo, n in (("ghz", 64), ("bv", 16)):
         run_benchmark(mgr, algo, n)
     layers = list(mgr._layers.values())

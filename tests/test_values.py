@@ -1,8 +1,10 @@
+from enum import IntEnum
 from random import Random
 
 import pytest
 
 from tidd import AND, FALSE, FIRST, MINUS, OR, PLUS, TIMES, TRUE, Value, XOR, as_value
+from tidd.builders import constant, from_truth_table
 from tidd.errors import ValueDomainError
 from tidd.values import SQRT2_HALF
 
@@ -54,6 +56,16 @@ def test_boolean_and_int_conventions():
     assert as_value(True) == Value(1, 0, 0)
     assert as_value(7) == Value(7, 0, 0)
     assert as_value(True) == as_value(1)
+
+
+def test_as_value_stores_an_int_subclass_as_an_int(mgr):
+    class C(IntEnum):
+        ONE = 1
+
+    assert type(as_value(C.ONE).a) is int
+    assert as_value(as_value(C.ONE)) == TRUE
+    f = constant(mgr, 1, C.ONE)
+    assert from_truth_table(mgr, 1, list(f.values) * 4) == f
 
 
 @pytest.mark.parametrize(
