@@ -7,11 +7,13 @@ Run from anywhere, with no argument:
 Each row is the JSON line that ``tidd bench --algo ALGO --qubits N --seed 0
 --format json`` prints, run from this checkout's ``src`` in a fresh process:
 GHZ 64, 128, ..., 2048, then BV and DJ 8, 16, ..., 128.  Each rung runs
-``RUNS_PER_RUNG`` times and keeps the row of the fastest run: load on a
-shared host only adds time, so the minimum is the steadiest figure (the
-advice of the ``timeit`` documentation).  A run still going after
-``TIME_LIMIT_SECONDS`` is killed and kept as a timeout row
-``{"algo", "qubits", "seed", "timeout_seconds"}``.  After the rows are
+``RUNS_PER_RUNG`` times, in rounds: round r runs every rung once before
+round r + 1 starts, so a burst of load on a shared host slows one run of a
+rung, not all of them.  A rung keeps the row of its fastest run: load only
+adds time, so the minimum is the steadiest figure (the advice of the
+``timeit`` documentation).  A run still going after ``TIME_LIMIT_SECONDS``
+is killed and kept as a timeout row ``{"algo", "qubits", "seed",
+"timeout_seconds"}``, and the rung runs no more rounds.  After the rows are
 written, the tier-1 suite runs once and its pass count and wall time are
 added.  ``parent_commit`` is the checked-out commit: the file cannot name
 the commit that adds it.
@@ -42,20 +44,17 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
-def bench_row(algo: str, qubits: int) -> dict:
-    """The fastest row of ``RUNS_PER_RUNG`` runs; the first timeout ends the rung."""
+def bench_run(algo: str, qubits: int) -> dict:
+    """The row of one fresh-process run, or its timeout row."""
     command = [sys.executable, "-m", "tidd.cli", "bench", "--algo", algo,
                "--qubits", str(qubits), "--seed", str(SEED), "--format", "json"]
-    rows = []
-    for _ in range(RUNS_PER_RUNG):
-        try:
-            done = subprocess.run(command, env=ENV, capture_output=True, text=True,
-                                  check=True, timeout=TIME_LIMIT_SECONDS)
-        except subprocess.TimeoutExpired:
-            return {"algo": algo, "qubits": qubits, "seed": SEED,
-                    "timeout_seconds": TIME_LIMIT_SECONDS}
-        rows.append(json.loads(done.stdout))
-    return min(rows, key=lambda row: row["wall_seconds"])
+    try:
+        done = subprocess.run(command, env=ENV, capture_output=True, text=True,
+                              check=True, timeout=TIME_LIMIT_SECONDS)
+    except subprocess.TimeoutExpired:
+        return {"algo": algo, "qubits": qubits, "seed": SEED,
+                "timeout_seconds": TIME_LIMIT_SECONDS}
+    return json.loads(done.stdout)
 
 
 def tier1() -> dict:
@@ -93,10 +92,17 @@ def main() -> None:
         "time_limit_seconds": TIME_LIMIT_SECONDS,
         "runs_per_rung": RUNS_PER_RUNG,
     }
-    rows = []
-    for algo, qubits in RUNGS:
-        rows.append(bench_row(algo, qubits))
-        print(json.dumps(rows[-1]), file=sys.stderr)
+    best: dict[tuple[str, int], dict] = {}  # rung -> its fastest row so far
+    for _ in range(RUNS_PER_RUNG):
+        for rung in RUNGS:
+            row = best.get(rung)
+            if row is not None and "timeout_seconds" in row:
+                continue  # the first timeout ends the rung
+            run = bench_run(*rung)
+            print(json.dumps(run), file=sys.stderr)
+            if row is None or "timeout_seconds" in run or run["wall_seconds"] < row["wall_seconds"]:
+                best[rung] = run
+    rows = [best[rung] for rung in RUNGS]
     write(meta, rows)  # tier-1 rereads the rows it can rerun quickly
     meta.update(tier1())
     write(meta, rows)

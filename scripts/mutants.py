@@ -287,6 +287,34 @@ MUTANTS = [
         "return dense_from_tidd(f).index == d.index",
         ["tests/test_oracle.py::test_exhaustive_equiv_reads_palette_and_index"],
     ),
+    (
+        "oracle: matrix spread without its level check",
+        "tidd/oracle.py",
+        "    if level < 1:\n        raise ShapeMismatch(",
+        "    if False:\n        raise ShapeMismatch(",
+        [f"{ERRORS}[dense matrix level 0]", f"{ERRORS}[matrix to dense level 0]"],
+    ),
+    (
+        "intern_layer without its row-length check",
+        "tidd/core.py",
+        "            if len(row) != side:\n                raise ArityMismatch(",
+        "            if False:\n                raise ArityMismatch(",
+        ["tests/test_core.py::test_intern_rejects_a_ragged_table_of_side_squared_cells"],
+    ),
+    (
+        "cli: hn builds the equality relation",
+        "tidd/cli.py",
+        '"hn": anti_diagonal',
+        '"hn": equality_relation',
+        ["tests/test_cli.py::test_family_hn", "tests/test_cli.py::test_sample_hn"],
+    ),
+    (
+        "bench: metrics row with two columns swapped",
+        "tidd/bench.py",
+        '"final_nodes": f.nodes, "final_edges": f.edges,',
+        '"final_nodes": f.edges, "final_edges": f.nodes,',
+        ["tests/test_ladder.py::test_ladder_row_matches_a_rerun"],
+    ),
 ]
 
 

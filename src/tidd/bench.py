@@ -179,17 +179,15 @@ def measure_distribution(state: VectorTidd, shots: int, rng: Random) -> dict[str
     return histogram
 
 
-def metrics_csv_header() -> str:
-    return "algo,qubits,seed,gates,final_nodes,final_edges,final_total,max_intermediate,wall_seconds"
-
-
-def metrics_fields(algo: str, qubits: int, seed: int, metrics: RunMetrics) -> list:
-    """The metrics row as typed fields; wall_seconds is rounded to microseconds."""
+def metrics_row(algo: str, qubits: int, seed: int, metrics: RunMetrics) -> dict:
+    """The metrics row, column by column; wall_seconds is rounded to microseconds."""
     f = metrics.final_size
-    return [
-        algo, qubits, seed, metrics.gate_count, f.nodes, f.edges, f.total,
-        metrics.max_intermediate_size, round(metrics.wall_time, 6),
-    ]
+    return {
+        "algo": algo, "qubits": qubits, "seed": seed, "gates": metrics.gate_count,
+        "final_nodes": f.nodes, "final_edges": f.edges, "final_total": f.total,
+        "max_intermediate": metrics.max_intermediate_size,
+        "wall_seconds": round(metrics.wall_time, 6),
+    }
 
 
 def csv_line(fields) -> str:

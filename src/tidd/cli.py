@@ -18,11 +18,14 @@ import sys
 from random import Random
 
 from .analysis import sample as draw_sample
-from .bench import csv_line, metrics_csv_header, metrics_fields, run_benchmark
+from .bench import csv_line, metrics_row, run_benchmark
 from .builders import anti_diagonal, equality_relation, hadamard_family
 from .core import Manager, size_metrics, total_states
 from .errors import TiddError
 from .oracle import run_equivalence_suite
+
+# family kind -> builder(mgr, n)
+FAMILIES = {"hadamard": hadamard_family, "eq": equality_relation, "hn": anti_diagonal}
 
 
 def _count(text: str) -> int:
@@ -36,59 +39,41 @@ def _count(text: str) -> int:
     return count
 
 
-def _emit(fmt: str, header: list[str], row: list) -> None:
+def _emit(fmt: str, row: dict) -> None:
     if fmt == "json":
-        print(json.dumps(dict(zip(header, row))))
+        print(json.dumps(row))
     else:
-        print(",".join(header))
-        print(csv_line(row))
-
-
-def _build_family(mgr: Manager, kind: str, n: int):
-    if kind == "hadamard":
-        return hadamard_family(mgr, n)
-    if kind == "eq":
-        return equality_relation(mgr, n)
-    return anti_diagonal(mgr, n)
+        print(",".join(row))
+        print(csv_line(row.values()))
 
 
 def _cmd_family(args) -> int:
-    mgr = Manager()
-    t = _build_family(mgr, args.kind, args.n)
+    t = FAMILIES[args.kind](Manager(), args.n)
     report = size_metrics(t)
-    _emit(
-        args.format,
-        ["kind", "n", "states", "nodes", "edges", "total"],
-        [args.kind, args.n, total_states(t), report.nodes, report.edges, report.total],
-    )
+    _emit(args.format, {
+        "kind": args.kind, "n": args.n, "states": total_states(t),
+        "nodes": report.nodes, "edges": report.edges, "total": report.total,
+    })
     return 0
 
 
 def _cmd_verify(args) -> int:
-    mgr = Manager()
-    passed, failed = run_equivalence_suite(mgr, args.vars, args.cases, args.seed)
-    _emit(
-        args.format,
-        ["vars", "cases", "seed", "passed", "failed"],
-        [args.vars, args.cases, args.seed, passed, failed],
-    )
+    passed, failed = run_equivalence_suite(Manager(), args.vars, args.cases, args.seed)
+    _emit(args.format, {
+        "vars": args.vars, "cases": args.cases, "seed": args.seed,
+        "passed": passed, "failed": failed,
+    })
     return 1 if failed else 0
 
 
 def _cmd_bench(args) -> int:
-    mgr = Manager()
-    _, metrics = run_benchmark(mgr, args.algo, args.qubits, args.seed)
-    _emit(
-        args.format,
-        metrics_csv_header().split(","),
-        metrics_fields(args.algo, args.qubits, args.seed, metrics),
-    )
+    _, metrics = run_benchmark(Manager(), args.algo, args.qubits, args.seed)
+    _emit(args.format, metrics_row(args.algo, args.qubits, args.seed, metrics))
     return 0
 
 
 def _cmd_sample(args) -> int:
-    mgr = Manager()
-    t = _build_family(mgr, args.kind, args.n)
+    t = FAMILIES[args.kind](Manager(), args.n)
     rng = Random(args.seed)
     histogram: dict[str, int] = {}
     for _ in range(args.shots):
@@ -111,23 +96,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("family", help="build a family and print its size")
-    p.add_argument("--kind", choices=("hadamard", "eq", "hn"), required=True)
+    p.add_argument("--kind", choices=FAMILIES, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser("verify", help="run the oracle equivalence suite")
     p.add_argument("--vars", type=int, required=True)
     p.add_argument("--cases", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("bench", help="run one quantum benchmark")
     p.add_argument("--algo", choices=("ghz", "bv", "dj"), required=True)
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("sample", help="sample assignments from a family")
@@ -135,9 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--shots", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_sample)
 
+    for p in sub.choices.values():  # added last, so each usage line ends with it
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

@@ -192,8 +192,11 @@ class Manager:
         if hit is not None:
             return hit
         side = child.num_states
-        if len(table) != side or any(len(row) != side for row in table):
+        if len(table) != side:
             raise ArityMismatch(f"table side {len(table)} != child state count {side}")
+        for i, row in enumerate(table):
+            if len(row) != side:
+                raise ArityMismatch(f"table row {i} has length {len(row)}, not {side}")
         return self._intern(child, table, check_canonical_order(table))
 
     def intern_cells(self, child: Layer, cells) -> tuple[Layer, tuple]:

@@ -147,29 +147,30 @@ def dense_apply(op: BinaryOp, a: DenseFunction, b: DenseFunction) -> DenseFuncti
     return _tabulate(a.level, codes, lambda c: op(pa[c // width], pb[c % width]), count)
 
 
-def _spread_table(half_bits: int) -> list[int]:
-    """``spread[x]`` moves bit i of x to bit 2i, for x below 2**half_bits.
+def _spread_table(level: int) -> list[int]:
+    """``spread[x]`` moves bit i of x to bit 2i, for each row or column x of
+    a matrix function at ``level``.
 
     Entry (r, c) of an interleaved matrix function sits at index
     ``spread[r] << 1 | spread[c]``.
     """
+    if level < 1:
+        raise ShapeMismatch("matrix functions need at least 2 variables")
     spread = [0]
-    for i in range(half_bits):
+    for i in range(1 << (level - 1)):
         spread += [s | 1 << (2 * i) for s in spread]
     return spread
 
 
 def dense_to_matrix(d: DenseFunction) -> list[list[Value]]:
     """Decode an interleaved row/column function into a square value grid."""
-    if d.level < 1:
-        raise ShapeMismatch("matrix functions need at least 2 variables")
-    spread = _spread_table(1 << (d.level - 1))
+    spread = _spread_table(d.level)
     palette, index = d.palette, d.index
     return [[palette[index[r << 1 | c]] for c in spread] for r in spread]
 
 
 def matrix_to_dense(grid: list[list[Value]], level: int) -> DenseFunction:
-    spread = _spread_table(1 << (level - 1))
+    spread = _spread_table(level)
     outputs = [FALSE] * (1 << (1 << level))
     for r, sr in enumerate(spread):
         for c, sc in enumerate(spread):
@@ -231,40 +232,6 @@ def class_counts(d: DenseFunction) -> tuple[int, ...]:
         )
         counts[j] = len(index)
     return tuple(counts)
-
-
-def class_count_at_level(d: DenseFunction, i: int) -> int:
-    """Number of context-equivalence classes at level i (see `class_counts`)."""
-    require_at_least(i, 0, "level")
-    if i > d.level:
-        raise IndexOutOfRange(f"level {i} outside 0..{d.level}")
-    return class_counts(d)[i]
-
-
-def anti_diagonal_row_classes(n: int) -> int:
-    """Context classes of the 2**n row strings under the anti-diagonal test.
-
-    The function is a conjunction of one single-bit test per row slot, so a
-    row string's class is its vector of per-slot test outcomes, with a slot
-    contributing only when the remaining slots can be satisfied
-    simultaneously.  Enumerates all 2**n row strings.
-    """
-    require_dense(n, "the row-class count")
-    tests = []
-    for slot in range(n):
-        position = n - 1 - slot  # bit tested when a row sits in this slot
-        shift = n - 1 - position
-        tests.append(lambda w, s=shift: (w >> s) & 1 == 0)
-    satisfiable = [any(t(w) for w in range(1 << n)) for t in tests]
-    signatures = set()
-    for w in range(1 << n):
-        sig = tuple(
-            tests[slot](w)
-            for slot in range(n)
-            if all(satisfiable[q] for q in range(n) if q != slot)
-        )
-        signatures.add(sig)
-    return len(signatures)
 
 
 # ---------------------------------------------------------------------------

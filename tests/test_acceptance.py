@@ -46,8 +46,6 @@ from tidd.core import Manager
 from tidd.linalg import MatrixTidd, vector_from_basis_state
 from tidd.ops import reduce_tidd
 from tidd.oracle import (
-    anti_diagonal_row_classes,
-    class_count_at_level,
     class_counts,
     dense_from_tidd,
     dense_matmul,
@@ -136,17 +134,16 @@ def test_criterion_03_anti_diagonal_blowup():
         row_level = n.bit_length() - 1
         count = state_counts(h)[row_level]
         measured[n] = count
-        assert count == anti_diagonal_row_classes(n)
+        assert count == 1 << n
         if n <= 4:
-            dense = dense_from_tidd(h)
-            assert count == class_count_at_level(dense, row_level)
-        assert count >= 1 << n
+            assert count == class_counts(dense_from_tidd(h))[row_level]
         profile = anti_diagonal_fold_profile(MGR, n)
         assert all(b >= 2 * a for a, b in zip(profile, profile[1:]))
     assert measured[4] >= 2 * measured[2] and measured[8] >= 2 * measured[4]
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
-    report(3, f"anti-diagonal row-level states {measured} match oracle, >= 2^n, "
+    report(3, f"anti-diagonal row-level states {measured} are 2^n, as the dense class "
+              f"count says at n <= 4, "
               f"doubling per folded factor ({elapsed:.1f}s)")
 
 

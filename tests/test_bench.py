@@ -16,8 +16,7 @@ from tidd.bench import (
     gate_matrix,
     ghz_circuit,
     measure_distribution,
-    metrics_csv_header,
-    metrics_fields,
+    metrics_row,
     run_benchmark,
     run_circuit,
 )
@@ -387,7 +386,7 @@ def test_random_circuits_match_dense(mgr):
 
 def test_metrics_csv_row_format(mgr):
     _, metrics = run_benchmark(mgr, "ghz", 4, seed=0)
-    header = metrics_csv_header().split(",")
-    row = csv_line(metrics_fields("ghz", 4, 0, metrics)).split(",")
-    assert len(header) == len(row) == 9
+    fields = metrics_row("ghz", 4, 0, metrics)
+    row = csv_line(fields.values()).split(",")
+    assert len(fields) == len(row) == 9
     assert row[0] == "ghz" and row[1] == "4"

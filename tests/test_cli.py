@@ -49,6 +49,13 @@ def test_verify_passes(capsys):
     assert fields["failed"] == "0"
 
 
+def test_verify_exits_1_when_a_case_fails(capsys, monkeypatch):
+    monkeypatch.setattr("tidd.oracle.exhaustive_equiv", lambda f, d: False)
+    code, out, _ = run_cli(capsys, ["verify", "--vars", "4", "--cases", "3"])
+    assert code == 1
+    assert out == "vars,cases,seed,passed,failed\n4,3,0,0,3\n"
+
+
 def test_verify_respects_oracle_cap(capsys):
     code, _, err = run_cli(capsys, ["verify", "--vars", "32", "--cases", "5"])
     assert code == 2
@@ -112,6 +119,7 @@ def test_usage_error_exit_code(capsys):
     assert main(["family", "--kind", "nope", "--n", "3"]) == 2
     assert main(["bogus"]) == 2
     assert main(["bench", "--algo", "ghz", "--qubits", "3"]) == 2
+    assert main(["verify", "--vars", "4", "--cases", "x"]) == 2
 
 
 def test_error_reported_to_stderr(capsys):

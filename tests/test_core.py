@@ -23,7 +23,7 @@ from tidd import (
     total_states,
     validate,
 )
-from tidd.bench import measure_distribution, metrics_fields, run_benchmark
+from tidd.bench import measure_distribution, metrics_row, run_benchmark
 from tidd.core import APPLY, COUNTERS, Layer, check_canonical_order, first_occurrence
 from tidd.linalg import MatrixTidd
 from tidd.errors import (
@@ -77,8 +77,10 @@ def test_intern_rejects_arity_mismatch(mgr):
 
 
 def test_intern_rejects_a_ragged_table_of_side_squared_cells(mgr):
-    with pytest.raises(ArityMismatch, match=r"^table side 2 != child state count 2$"):
+    with pytest.raises(ArityMismatch, match=r"^table row 0 has length 3, not 2$"):
         mgr.intern_layer(mgr.fork(), ((0, 0, 0), (1,)))
+    with pytest.raises(ArityMismatch, match=r"^table row 1 has length 1, not 2$"):
+        mgr.intern_layer(mgr.fork(), ((0, 1), (2,)))
 
 
 def scan_canonical_order(table):
@@ -231,6 +233,17 @@ def test_validate_names_the_first_indistinguishable_pair(mgr, classes, pair):
         assert not report
         assert report.constraint == "2(v) distinguishability"
         assert report.detail == "child states %d and %d are indistinguishable" % pair
+
+
+@pytest.mark.parametrize(
+    "values, detail",
+    [((Value(1, 0),), "1 values for 2 top states"), ((Value(1, 0), 2), "entry 1 is not a ring value")],
+    ids=["one value too few", "a non-Value entry"],
+)
+def test_validate_reports_a_bad_value_tuple(mgr, values, detail):
+    report = validate(Tidd(hadamard_family(mgr, 1).top, values))
+    assert not report
+    assert (report.constraint, report.location, report.detail) == ("value tuple", "values", detail)
 
 
 def test_validate_indistinguishable_states(mgr):
@@ -473,7 +486,9 @@ def test_clear_caches_empties_them_and_reruns_match(mgr):
         for algo, n in (("ghz", 64), ("bv", 16)):
             state, metrics = run_benchmark(mgr, algo, n)
             histogram = measure_distribution(state, 30, Random(n))
-            out.append((dump(state.t.t), metrics_fields(algo, n, 0, metrics)[:-1], histogram))
+            row = metrics_row(algo, n, 0, metrics)
+            del row["wall_seconds"]
+            out.append((dump(state.t.t), row, histogram))
         return out
 
     first = run_both()

@@ -16,7 +16,7 @@ from tidd import (
     pair_product,
     sample,
 )
-from tidd.bench import _I, _X, GateSpec, measure_distribution
+from tidd.bench import _I, _X, GateSpec, measure_distribution, run_benchmark
 from tidd.builders import (
     constant,
     equality_relation,
@@ -28,12 +28,14 @@ from tidd.builders import (
 from tidd.errors import (
     ArityMismatch,
     CanonicalOrderViolation,
+    GateSpecError,
     IndexOutOfRange,
     LevelMismatch,
     ManagerMismatch,
     NegativeWeight,
     NotPowerOfTwo,
     OracleScaleLimit,
+    ShapeMismatch,
     ValueDomainError,
     ZeroDistribution,
     require_at_least,
@@ -44,13 +46,17 @@ from tidd.linalg import MatrixTidd, matmul, qubit_sum, vector_from_basis_state
 from tidd.ops import canonical_tidd, reduce_stack
 from tidd.oracle import (
     DenseFunction,
-    class_count_at_level,
     dense_constant,
     dense_function,
+    dense_kron,
+    dense_matmul,
     dense_projection,
+    dense_to_matrix,
+    exhaustive_equiv,
+    matrix_to_dense,
     run_equivalence_suite,
 )
-from tidd.values import BinaryOp
+from tidd.values import ZERO, BinaryOp
 
 
 def _shots(mgr, shots):
@@ -61,10 +67,6 @@ def _shots(mgr, shots):
 def _apply_half(mgr):
     half = BinaryOp("half", lambda u, v: Value(0.5, 0, 0))
     return apply(half, constant(mgr, 1, 1), constant(mgr, 1, 1))
-
-
-def _class_count(level):
-    return class_count_at_level(dense_constant(1, 0), level)
 
 
 def _hadamard_top(mgr):
@@ -107,8 +109,16 @@ BAD_ARGUMENTS = [
     ("dense projection level -1", lambda m: dense_projection(-1, 0), IndexOutOfRange),
     ("dense projection index -1", lambda m: dense_projection(2, -1), IndexOutOfRange),
     ("dense projection index 7", lambda m: dense_projection(2, 7), IndexOutOfRange),
-    ("class count level 2", lambda m: _class_count(2), IndexOutOfRange),
-    ("class count level -1", lambda m: _class_count(-1), IndexOutOfRange),
+    ("dense table of 3 entries", lambda m: DenseFunction(1, (ZERO,), bytes(3)), ShapeMismatch),
+    ("dense matrix level 0", lambda m: dense_to_matrix(dense_constant(0, 1)), ShapeMismatch),
+    ("matrix to dense level 0", lambda m: matrix_to_dense([[1]], 0), ShapeMismatch),
+    ("dense matmul across levels",
+     lambda m: dense_matmul(dense_constant(1, 1), dense_constant(2, 1)), ShapeMismatch),
+    ("dense kron across levels",
+     lambda m: dense_kron(dense_constant(1, 1), dense_constant(2, 1)), ShapeMismatch),
+    ("equivalence across levels",
+     lambda m: exhaustive_equiv(constant(m, 1, 1), dense_constant(2, 1)), ShapeMismatch),
+    ("benchmark qft", lambda m: run_benchmark(m, "qft", 8), GateSpecError),
     ("gate on 3 qubits", lambda m: GateSpec("h", (0,), 3), NotPowerOfTwo),
     ("qubit sum qubit 7 of 4", lambda m: qubit_sum(m, 4, [{7: _X}], _I), IndexOutOfRange),
     ("qubit sum qubit 4 of 4", lambda m: qubit_sum(m, 4, [{0: _X}, {4: _X}], _I), IndexOutOfRange),
@@ -167,7 +177,6 @@ def test_each_minimum_is_accepted(mgr):
     assert run_equivalence_suite(mgr, 1, 3, 0) == (3, 0)
     assert dense_constant(0, 1).level == 0
     assert dense_projection(0, 0).outputs == dense_projection(1, 1).outputs[:2]
-    assert _class_count(0) == 1
     assert GateSpec("h", (0,), 1).qubits == 1
 
 

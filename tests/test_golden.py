@@ -28,7 +28,7 @@ from tidd.bench import (
     gate_matrix,
     ghz_circuit,
     measure_distribution,
-    metrics_fields,
+    metrics_row,
     run_benchmark,
 )
 
@@ -80,7 +80,7 @@ SHOTS = 200
 
 def circuit_text(algo: str, qubits: int, seed: int) -> str:
     state, metrics = benchmark_run(algo, qubits, seed)
-    row = metrics_fields(algo, qubits, seed, metrics)[:-1]  # drop wall_seconds
+    row = list(metrics_row(algo, qubits, seed, metrics).values())[:-1]  # drop wall_seconds
     return dump(state.t.t) + "\n" + ",".join(str(x) for x in row)
 
 

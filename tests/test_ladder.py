@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tidd.bench import metrics_csv_header, metrics_fields
+from tidd.bench import metrics_row
 
 from helpers import benchmark_run
 
@@ -30,6 +30,6 @@ def test_quick_rows_are_the_small_rungs():
 def test_ladder_row_matches_a_rerun(row):
     algo, qubits, seed = row["algo"], row["qubits"], row["seed"]
     _, metrics = benchmark_run(algo, qubits, seed)
-    rerun = dict(zip(metrics_csv_header().split(","), metrics_fields(algo, qubits, seed, metrics)))
+    rerun = metrics_row(algo, qubits, seed, metrics)
     del rerun["wall_seconds"]
     assert {key: value for key, value in row.items() if key != "wall_seconds"} == rerun

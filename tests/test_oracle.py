@@ -19,7 +19,6 @@ from tidd import (
 )
 from tidd.builders import from_truth_table
 from tidd.errors import (
-    IndexOutOfRange,
     NotPowerOfTwo,
     OracleScaleLimit,
     ShapeMismatch,
@@ -28,8 +27,6 @@ from tidd.errors import (
 from tidd.oracle import (
     _BOOL_OPS,
     DenseFunction,
-    anti_diagonal_row_classes,
-    class_count_at_level,
     class_counts,
     dense_apply,
     dense_constant,
@@ -258,21 +255,18 @@ def test_dense_shape_mismatch():
 
 def test_class_count_constant(mgr):
     d = dense_constant(3, 5)
-    for i in range(4):
-        assert class_count_at_level(d, i) == 1
+    assert class_counts(d) == (1, 1, 1, 1)
 
 
 def test_class_count_hadamard(mgr):
     for i in (1, 2, 3):
         d = dense_from_tidd(hadamard_family(mgr, i))
-        for j in range(1, i + 1):
-            assert class_count_at_level(d, j) == 2
-        assert class_count_at_level(d, 0) == 2
+        assert class_counts(d) == (2,) * (i + 1)
 
 
 def test_class_count_anti_diagonal(mgr):
     d = dense_from_tidd(anti_diagonal(mgr, 4))
-    assert class_count_at_level(d, 2) == 16
+    assert class_counts(d)[2] == 16
 
 
 def test_class_count_matches_minimal_states(mgr):
@@ -290,24 +284,14 @@ def test_class_counts_cover_every_level(mgr):
     d = dense_from_tidd(anti_diagonal(mgr, 4))
     counts = class_counts(d)
     assert len(counts) == d.level + 1
-    assert counts == tuple(class_count_at_level(d, i) for i in range(d.level + 1))
     assert counts[2] == 16 and counts[d.level] == 2
-    for bad in (-1, d.level + 1):
-        with pytest.raises(IndexOutOfRange):
-            class_count_at_level(d, bad)
-
-
-def test_anti_diagonal_row_classes_small():
-    assert anti_diagonal_row_classes(2) == 4
-    assert anti_diagonal_row_classes(4) == 16
-    assert anti_diagonal_row_classes(8) == 256
 
 
 def test_row_classes_agree_with_dense(mgr):
     for n in (2, 4):
         row_level = n.bit_length() - 1
-        d = dense_from_tidd(anti_diagonal(mgr, n))
-        assert anti_diagonal_row_classes(n) == class_count_at_level(d, row_level)
+        h = anti_diagonal(mgr, n)
+        assert state_counts(h)[row_level] == class_counts(dense_from_tidd(h))[row_level] == 1 << n
 
 
 def test_random_equivalence_case_passes(mgr):
