@@ -295,6 +295,31 @@ MUTANTS = [
         [f"{ERRORS}[dense matrix level 0]", f"{ERRORS}[matrix to dense level 0]"],
     ),
     (
+        "oracle: suite without its case-count check",
+        "tidd/oracle.py",
+        '    require_at_least(cases, 1, "case count")\n',
+        "",
+        [f"{ERRORS}[equivalence suite of 0 cases]",
+         "tests/test_cli.py::test_count_below_one_is_usage_error"],
+    ),
+    (
+        "oracle: matrix spread without the dense cap",
+        "tidd/oracle.py",
+        "    _dense_size(level)  # the dense cap, checked before the table is built\n",
+        "",
+        [f"{ERRORS}[matrix to dense level 5]", f"{ERRORS}[matrix to dense level 6]"],
+    ),
+    (
+        "oracle: matrix_to_dense without its shape check",
+        "tidd/oracle.py",
+        "    if len(grid) != side or any(len(row) != side for row in grid):\n"
+        "        raise ShapeMismatch(",
+        "    if False:\n        raise ShapeMismatch(",
+        [f"{ERRORS}[matrix to dense of a 1 x 1 grid at level 2]",
+         f"{ERRORS}[matrix to dense of a ragged grid]",
+         f"{ERRORS}[matrix to dense of a 3 x 3 grid at level 1]"],
+    ),
+    (
         "intern_layer without its row-length check",
         "tidd/core.py",
         "            if len(row) != side:\n                raise ArityMismatch(",
@@ -314,6 +339,14 @@ MUTANTS = [
         '"final_nodes": f.nodes, "final_edges": f.edges,',
         '"final_nodes": f.edges, "final_edges": f.nodes,',
         ["tests/test_ladder.py::test_ladder_row_matches_a_rerun"],
+    ),
+    (
+        "bench: dj runs the BV secret",
+        "tidd/bench.py",
+        '"dj": lambda n, seed: dj_circuit(n, "balanced", seed)',
+        '"dj": lambda n, seed: bv_circuit(n, bv_secret(n, seed))',
+        [f"tests/test_golden.py::test_output_matches_golden_digest[dj-{n}-{seed}]"
+         for n in (8, 16) for seed in (1, 2, 3)],
     ),
 ]
 

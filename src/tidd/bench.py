@@ -114,12 +114,19 @@ def dj_circuit(n: int, mode: str, seed: int = 0) -> list[GateSpec]:
     mode "balanced": the seeded parity pattern b, whose oracle (-1)**(b.x) is
     balanced because b is nonzero.
     """
-    require_power_of_two(n, 2, "qubit count")
     if mode == "constant":
         return bv_circuit(n, (0,) * n)
     if mode == "balanced":
         return bv_circuit(n, dj_parity_pattern(n, seed))
     raise GateSpecError(f"unknown DJ mode {mode!r}")
+
+
+# benchmark name -> its gate list for (qubits, seed)
+CIRCUITS = {
+    "ghz": lambda n, seed: ghz_circuit(n),
+    "bv": lambda n, seed: bv_circuit(n, bv_secret(n, seed)),
+    "dj": lambda n, seed: dj_circuit(n, "balanced", seed),
+}
 
 
 @dataclass(frozen=True)
@@ -150,14 +157,9 @@ def run_benchmark(
     mgr: Manager, algo: str, qubits: int, seed: int = 0
 ) -> tuple[VectorTidd, RunMetrics]:
     """Build and run one named benchmark from the all-zeros basis state."""
-    if algo == "ghz":
-        gates = ghz_circuit(qubits)
-    elif algo == "bv":
-        gates = bv_circuit(qubits, bv_secret(qubits, seed))
-    elif algo == "dj":
-        gates = dj_circuit(qubits, "balanced", seed)
-    else:
+    if algo not in CIRCUITS:
         raise GateSpecError(f"unknown benchmark {algo!r}")
+    gates = CIRCUITS[algo](qubits, seed)
     initial = vector_from_basis_state(mgr, qubits, (0,) * qubits)
     return run_circuit(mgr, gates, initial)
 

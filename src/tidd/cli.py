@@ -18,25 +18,14 @@ import sys
 from random import Random
 
 from .analysis import sample as draw_sample
-from .bench import csv_line, metrics_row, run_benchmark
+from .bench import CIRCUITS, csv_line, metrics_row, run_benchmark
 from .builders import anti_diagonal, equality_relation, hadamard_family
 from .core import Manager, size_metrics, total_states
-from .errors import TiddError
+from .errors import TiddError, require_at_least
 from .oracle import run_equivalence_suite
 
 # family kind -> builder(mgr, n)
 FAMILIES = {"hadamard": hadamard_family, "eq": equality_relation, "hn": anti_diagonal}
-
-
-def _count(text: str) -> int:
-    """An argparse type for a repetition count: an integer of at least 1."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"{count} is not at least 1")
-    return count
 
 
 def _emit(fmt: str, row: dict) -> None:
@@ -73,6 +62,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    require_at_least(args.shots, 1, "shots")
     t = FAMILIES[args.kind](Manager(), args.n)
     rng = Random(args.seed)
     histogram: dict[str, int] = {}
@@ -102,12 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle equivalence suite")
     p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--cases", type=_count, default=100)
+    p.add_argument("--cases", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("bench", help="run one quantum benchmark")
-    p.add_argument("--algo", choices=("ghz", "bv", "dj"), required=True)
+    p.add_argument("--algo", choices=CIRCUITS, required=True)
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_bench)
@@ -115,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample assignments from a family")
     p.add_argument("--kind", choices=("eq", "hn"), default="eq")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--shots", type=_count, default=100)
+    p.add_argument("--shots", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_sample)
 

@@ -156,6 +156,7 @@ def _spread_table(level: int) -> list[int]:
     """
     if level < 1:
         raise ShapeMismatch("matrix functions need at least 2 variables")
+    _dense_size(level)  # the dense cap, checked before the table is built
     spread = [0]
     for i in range(1 << (level - 1)):
         spread += [s | 1 << (2 * i) for s in spread]
@@ -171,7 +172,10 @@ def dense_to_matrix(d: DenseFunction) -> list[list[Value]]:
 
 def matrix_to_dense(grid: list[list[Value]], level: int) -> DenseFunction:
     spread = _spread_table(level)
-    outputs = [FALSE] * (1 << (1 << level))
+    side = len(spread)
+    if len(grid) != side or any(len(row) != side for row in grid):
+        raise ShapeMismatch(f"a matrix at level {level} is a {side} x {side} grid")
+    outputs = [FALSE] * _dense_size(level)
     for r, sr in enumerate(spread):
         for c, sc in enumerate(spread):
             outputs[sr << 1 | sc] = grid[r][c]
@@ -281,6 +285,7 @@ def run_equivalence_suite(
     """Run seeded random-expression equivalence checks; returns (passed, failed)."""
     level = require_power_of_two(num_vars, 1, "variable count")
     require_dense(num_vars, "the equivalence suite")
+    require_at_least(cases, 1, "case count")
     rng = Random(seed)
     passed = failed = 0
     for _ in range(cases):

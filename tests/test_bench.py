@@ -287,6 +287,9 @@ def test_secrets_and_patterns_check_the_qubit_count(mgr):
         bv_secret(-4, 0)
     with pytest.raises(NotPowerOfTwo):
         dj_parity_pattern(0, 0)
+    for mode in ("balanced", "constant"):
+        with pytest.raises(NotPowerOfTwo):
+            dj_circuit(6, mode)
 
 
 def test_norm_conserved_through_ghz(mgr):

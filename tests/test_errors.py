@@ -1,10 +1,16 @@
 """The argument checks: each bad size or count raises its typed error and
 leaves every operation cache holding one entry per counted miss."""
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import tidd
 from tidd import (
     PLUS,
     Manager,
@@ -83,6 +89,23 @@ def _two_levels(mgr):
     return constant(mgr, 1, 1), constant(mgr, 2, 1)
 
 
+def _in_child(call: str):
+    """Run ``call`` from ``tidd.oracle`` in a child process whose address space
+    is capped at 1 GiB, so that a table allocated past the dense cap fails the
+    child rather than the machine; raise the ``tidd.errors`` class it raised."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    code = (f"from tidd.oracle import *\ntry:\n    {call}\n"
+            "except Exception as exc:\n    print(type(exc).__name__)")
+    env = {**os.environ, "PYTHONPATH": str(Path(tidd.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, preexec_fn=limit_memory)
+    name = done.stdout.strip()
+    raise getattr(errors, name, AssertionError)(f"{call} raised {name or done.stderr}")
+
+
 BAD_ARGUMENTS = [
     ("constant level -1", lambda m: constant(m, -1, 1), IndexOutOfRange),
     ("exact strings level -1", lambda m: exact_string_proto(m, -1), IndexOutOfRange),
@@ -104,6 +127,8 @@ BAD_ARGUMENTS = [
     ("dense table of Value(1, 0.5, 0)",
      lambda m: dense_function(1, [Value(1, 0.5, 0)] * 4), ValueDomainError),
     ("6-variable suite", lambda m: run_equivalence_suite(m, 6, 1, 0), NotPowerOfTwo),
+    ("equivalence suite of 0 cases",
+     lambda m: run_equivalence_suite(m, 4, 0, 0), IndexOutOfRange),
     ("dense table level -1", lambda m: DenseFunction(-1, (), b""), IndexOutOfRange),
     ("dense constant level -1", lambda m: dense_constant(-1, 1), IndexOutOfRange),
     ("dense projection level -1", lambda m: dense_projection(-1, 0), IndexOutOfRange),
@@ -112,6 +137,14 @@ BAD_ARGUMENTS = [
     ("dense table of 3 entries", lambda m: DenseFunction(1, (ZERO,), bytes(3)), ShapeMismatch),
     ("dense matrix level 0", lambda m: dense_to_matrix(dense_constant(0, 1)), ShapeMismatch),
     ("matrix to dense level 0", lambda m: matrix_to_dense([[1]], 0), ShapeMismatch),
+    ("matrix to dense of a 1 x 1 grid at level 2",
+     lambda m: matrix_to_dense([[1]], 2), ShapeMismatch),
+    ("matrix to dense of a ragged grid",
+     lambda m: matrix_to_dense([[1, 2], [3]], 1), ShapeMismatch),
+    ("matrix to dense of a 3 x 3 grid at level 1",
+     lambda m: matrix_to_dense([[1, 2, 3]] * 3, 1), ShapeMismatch),
+    ("matrix to dense level 5", lambda m: _in_child("matrix_to_dense([[1]], 5)"), OracleScaleLimit),
+    ("matrix to dense level 6", lambda m: _in_child("matrix_to_dense([[1]], 6)"), OracleScaleLimit),
     ("dense matmul across levels",
      lambda m: dense_matmul(dense_constant(1, 1), dense_constant(2, 1)), ShapeMismatch),
     ("dense kron across levels",

@@ -3,6 +3,7 @@
 Every row small enough to rerun in about a second (GHZ up to 128 qubits, BV
 and DJ up to 32) is simulated again, and every field but ``wall_seconds``
 must equal the committed one.  ``scripts/bench_ladder.py`` rewrites the file.
+At seed 0 every DJ row repeats its BV row, since the two gate lists agree.
 """
 
 import json
@@ -33,3 +34,16 @@ def test_ladder_row_matches_a_rerun(row):
     rerun = metrics_row(algo, qubits, seed, metrics)
     del rerun["wall_seconds"]
     assert {key: value for key, value in row.items() if key != "wall_seconds"} == rerun
+
+
+def test_dj_rows_repeat_the_bv_rows_at_seed_0():
+    # bit 0 of every seed-0 secret is 1, so the DJ pattern is the BV secret
+    def fields(algo):
+        return {
+            row["qubits"]: {k: v for k, v in row.items() if k not in ("algo", "wall_seconds")}
+            for row in LADDER["rows"] if (row["algo"], row["seed"]) == (algo, 0)
+        }
+
+    dj = fields("dj")
+    assert sorted(dj) == [8, 16, 32, 64, 128]
+    assert dj == fields("bv")
