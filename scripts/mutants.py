@@ -11,13 +11,15 @@ unedited copy of ``src/``, and must pass.  Then, for each entry, the script
 copies ``src/`` to a temporary directory, replaces the old text there (it
 must occur exactly once, so a refactor that moves it must update the entry),
 and runs the entry's tests against the copy in one child process at a time,
-under ``resource.setrlimit`` limits on memory and CPU time.  The mutant is
-killed when a test fails or the child hits a limit.  The script exits 1 if
-an old text is missing, the unedited run fails, or any mutant survives.
+under ``resource.setrlimit`` limits on memory and CPU time and with pytest's
+plugin auto-loading off.  The mutant is killed when a test fails or the
+child hits a limit.  The script exits 1 if an old text is missing, the
+unedited run fails, or any mutant survives.
 """
 
 from __future__ import annotations
 
+import os
 import resource
 import shutil
 import subprocess
@@ -26,6 +28,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# the tests need only pytest; an installed plugin costs each child its import
+ENV = {**os.environ, "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"}
 MEMORY_BYTES = 1 << 30
 CPU_SECONDS = 60
 
@@ -67,11 +71,18 @@ MUTANTS = [
     (
         "reduce: no top-class check",
         "tidd/ops.py",
-        "    if first_occurrence(classes)[0] != classes:\n"
+        "    if numbers != classes:\n"
         "        raise CanonicalOrderViolation(",
-        "    if False:\n"
+        "    if numbers is None:\n"
         "        raise CanonicalOrderViolation(",
         [f"{ERRORS}[top classes (1, 0)]", f"{ERRORS}[top classes (0, 2)]"],
+    ),
+    (
+        "reduce: under the caller's classes",
+        "tidd/ops.py",
+        "new_top, class_of = _reduce(top.manager, top, numbers)",
+        "new_top, class_of = _reduce(top.manager, top, classes)",
+        ["tests/test_ops.py::test_reduce_stack_numbers_states_with_ints"],
     ),
     (
         "reduce: signatures from mapped rows only",
@@ -129,6 +140,22 @@ MUTANTS = [
         ["tests/test_linalg.py::test_matrix_shape_checks"],
     ),
     (
+        "require_index admits the size itself",
+        "tidd/errors.py",
+        "not 0 <= i < size:",
+        "not 0 <= i <= size:",
+        [f"{ERRORS}[qubit sum qubit 4 of 4]"],
+    ),
+    (
+        "require_index admits bools",
+        "tidd/errors.py",
+        "if isinstance(i, bool) or not isinstance(i, int)",
+        "if not isinstance(i, int)",
+        [f"{ERRORS}[projection index True]", f"{ERRORS}[dense projection index True]",
+         f"{ERRORS}[qubit sum qubit True]",
+         "tests/test_bench.py::test_boolean_gate_targets_are_rejected"],
+    ),
+    (
         "as_value stores an int subclass",
         "tidd/values.py",
         "return Value(int(x), 0, 0)",
@@ -170,9 +197,25 @@ MUTANTS = [
     (
         "canonical check accepts any permutation",
         "tidd/core.py",
-        "        if key != j:\n",
-        "        if key not in range(len(keys)):\n",
+        "        if kind is not int or key != j:\n",
+        "        if kind is not int or key not in range(len(keys)):\n",
         ["tests/test_core.py::test_intern_rejects_noncanonical"],
+    ),
+    (
+        "canonical check accepts entries that are not ints",
+        "tidd/core.py",
+        "        if kind is not int or key != j:\n",
+        "        if key != j:\n",
+        ["tests/test_core.py::test_intern_rejects_entries_that_are_not_ints",
+         "tests/test_core.py::test_validate_reports_a_bad_layer[table7-2-2(iii) canonical order]"],
+    ),
+    (
+        "canonical check numbers entries without their type",
+        "tidd/core.py",
+        "first_occurrence((type(entry), entry) for row in table",
+        "first_occurrence((int, entry) for row in table",
+        ["tests/test_core.py::test_intern_rejects_entries_that_are_not_ints",
+         "tests/test_core.py::test_validate_reports_a_bad_layer[table8-2-2(iii) canonical order]"],
     ),
     (
         "validate: 2(v) on rows only",
@@ -361,7 +404,7 @@ def run_tests(src: Path, tests: list[str]) -> int:
     """pytest's exit code for ``tests`` with ``tidd`` imported from ``src``."""
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                "-o", f"pythonpath={src}", *tests]
-    return subprocess.run(command, cwd=ROOT, preexec_fn=limit_child,
+    return subprocess.run(command, cwd=ROOT, env=ENV, preexec_fn=limit_child,
                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 

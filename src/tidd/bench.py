@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .core import Manager, SizeReport, size_metrics
-from .errors import GateSpecError, require_at_least, require_power_of_two
+from .errors import GateSpecError, require_at_least, require_index, require_power_of_two
 from .linalg import MatrixTidd, VectorTidd, matvec, qubit_sum, vector_from_basis_state
 from .analysis import sample
 from .ops import apply
@@ -62,8 +62,7 @@ class GateSpec:
         if len(self.targets) != expected:
             raise GateSpecError(f"{self.kind} takes {expected} target(s)")
         for t in self.targets:
-            if isinstance(t, bool) or not isinstance(t, int) or not 0 <= t < self.qubits:
-                raise GateSpecError(f"target {t!r} is not in 0..{self.qubits - 1}")
+            require_index(t, self.qubits, "target")
         if len(set(self.targets)) != len(self.targets):
             raise GateSpecError("targets must be distinct")
 

@@ -10,8 +10,8 @@ binary-operation machinery.
 from __future__ import annotations
 
 from .core import Layer, Manager, Tidd
-from .errors import IndexOutOfRange, TruthTableLengthMismatch
-from .errors import require_at_least, require_dense, require_power_of_two
+from .errors import TruthTableLengthMismatch
+from .errors import require_at_least, require_dense, require_index, require_power_of_two
 from .ops import apply, canonical_tidd
 from .values import AND, FALSE, ONE, TRUE, Value, XOR, ZERO, as_value
 
@@ -39,9 +39,7 @@ def projection(mgr: Manager, level: int, index: int) -> Tidd:
     otherwise the right child's.  Values are [false, true].
     """
     require_at_least(level, 0, "level")
-    require_at_least(index, 0, "projection index")
-    if index >= 1 << level:
-        raise IndexOutOfRange(f"index {index} for {1 << level} variables")
+    require_index(index, 1 << level, "projection index")
     layer = mgr.fork()
     for j in range(1, level + 1):
         if index & (1 << (j - 1)):

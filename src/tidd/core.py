@@ -88,11 +88,11 @@ def check_canonical_order(table: Table) -> int:
     """Verify first-occurrence order; return the parent-state count.
 
     A table is canonical exactly when ``first_occurrence`` of its row-major
-    entries gives the distinct entries 0, 1, 2, ... in order.
+    (type, entry) pairs gives (int, 0), (int, 1), (int, 2), ... in order.
     """
-    _, keys = first_occurrence(entry for row in table for entry in row)
-    for j, key in enumerate(keys):
-        if key != j:
+    _, keys = first_occurrence((type(entry), entry) for row in table for entry in row)
+    for j, (kind, key) in enumerate(keys):
+        if kind is not int or key != j:
             raise CanonicalOrderViolation(f"parent index {key} appears before index {j}")
     return len(keys)
 

@@ -1,8 +1,8 @@
 """Exception hierarchy for the tidd package, and the argument checks.
 
 Each argument rule is written once, here, and raises one typed error:
-levels and counts (``require_at_least``), power-of-two sizes
-(``require_power_of_two``) and the dense-enumeration cap (``require_dense``).
+levels and counts (``require_at_least``), indices (``require_index``), powers
+of two (``require_power_of_two``) and the dense-enumeration cap (``require_dense``).
 """
 
 # The one scale cap on dense enumeration: truth tables, the widest
@@ -27,7 +27,7 @@ class AssignmentLengthMismatch(TiddError):
 
 
 class IndexOutOfRange(TiddError):
-    """A level, count or projection index is not an integer in its range."""
+    """A level, count or index is not an integer in its range."""
 
 
 class TruthTableLengthMismatch(TiddError):
@@ -67,13 +67,19 @@ class OracleScaleLimit(TiddError):
 
 
 class GateSpecError(TiddError):
-    """A gate specification has invalid kind or qubit indices."""
+    """A gate kind, target count or repeated target, a secret or a DJ mode is invalid."""
 
 
 def require_at_least(n, minimum: int, what: str) -> None:
     """Raise IndexOutOfRange unless n is an integer >= minimum."""
     if not isinstance(n, int) or n < minimum:
         raise IndexOutOfRange(f"{what} {n!r} is not an integer >= {minimum}")
+
+
+def require_index(i, size: int, what: str) -> None:
+    """Raise IndexOutOfRange unless i is an int, not a bool, in 0..size - 1."""
+    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < size:
+        raise IndexOutOfRange(f"{what} {i!r} is not an integer in 0..{size - 1}")
 
 
 def require_power_of_two(n, minimum: int, what: str) -> int:

@@ -40,7 +40,7 @@ from .analysis import top_path_counts
 from .builders import equality_relation, from_truth_table
 from .core import MATMUL, MATMUL_STACK, SPAN, Layer, Manager, Tidd, evaluate
 from .errors import (
-    IndexOutOfRange, ManagerMismatch, ShapeMismatch, require_at_least, require_dense,
+    ManagerMismatch, ShapeMismatch, require_at_least, require_dense, require_index,
     require_power_of_two,
 )
 from .ops import apply, canonical_tidd, kronecker
@@ -95,9 +95,8 @@ def qubit_sum(mgr: Manager, qubits: int, terms, blank: tuple) -> MatrixTidd:
     blank = tuple(map(as_value, blank))
     products = []
     for t in terms:
-        if any(isinstance(q, bool) or not isinstance(q, int) or not 0 <= q < qubits
-               for q in t):
-            raise IndexOutOfRange(f"term qubits {list(t)} are not all in 0..{qubits - 1}")
+        for q in t:
+            require_index(q, qubits, "term qubit")
         factors = tuple(sorted((q, tuple(map(as_value, e))) for q, e in t.items()))
         products.append(mgr.memo(SPAN, _build_span, qubits, factors, blank))
     require_at_least(len(products), 1, "term count")

@@ -71,14 +71,15 @@ def reduce_stack(top: Layer, top_classes) -> tuple[Layer, list[tuple[int, ...]]]
     ArityMismatch).  Two states at a lower level merge iff their transition
     behavior coincides class-wise in every row and column.
     Returns the new top layer and, per level from 0 up, the map old state
-    index -> new state index, which is the class numbering itself.
+    index -> new state index: the classes' ``first_occurrence`` numbers.
     """
     classes = tuple(top_classes)
     if len(classes) != top.num_states:
         raise ArityMismatch(f"{len(classes)} classes for {top.num_states} top states")
-    if first_occurrence(classes)[0] != classes:
+    numbers = first_occurrence(classes)[0]
+    if numbers != classes:
         raise CanonicalOrderViolation(f"top classes {classes} skip first occurrence")
-    new_top, class_of = _reduce(top.manager, top, classes)
+    new_top, class_of = _reduce(top.manager, top, numbers)
     return new_top, list(class_of)
 
 

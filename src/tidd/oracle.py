@@ -16,8 +16,8 @@ from random import Random
 
 from .builders import constant, projection
 from .core import Manager, Tidd
-from .errors import IndexOutOfRange, ShapeMismatch
-from .errors import require_at_least, require_dense, require_power_of_two
+from .errors import ShapeMismatch
+from .errors import require_at_least, require_dense, require_index, require_power_of_two
 from .ops import apply
 from .values import (
     AND,
@@ -93,9 +93,7 @@ def dense_constant(level: int, v) -> DenseFunction:
 
 def dense_projection(level: int, index: int) -> DenseFunction:
     size = _dense_size(level)
-    require_at_least(index, 0, "projection index")
-    if index >= 1 << level:
-        raise IndexOutOfRange(f"index {index} for {1 << level} variables")
+    require_index(index, 1 << level, "projection index")
     run = 1 << ((1 << level) - 1 - index)  # assignments per run of equal bit `index`
     bits = (bytes(run) + b"\x01" * run) * (size // (2 * run))
     return DenseFunction(level, (FALSE, TRUE), bits)

@@ -20,7 +20,7 @@ from tidd.bench import (
     run_benchmark,
     run_circuit,
 )
-from tidd.errors import GateSpecError, NotPowerOfTwo, ZeroDistribution
+from tidd.errors import GateSpecError, IndexOutOfRange, NotPowerOfTwo, ZeroDistribution
 from tidd.linalg import (
     MatrixTidd,
     matmul,
@@ -49,7 +49,7 @@ def test_gate_spec_validation():
         gate("rx", 0, 2)
     with pytest.raises(GateSpecError):
         gate("cnot", (0, 0), 2)
-    with pytest.raises(GateSpecError):
+    with pytest.raises(IndexOutOfRange):
         gate("h", 5, 2)
     with pytest.raises(GateSpecError):
         GateSpec("h", (0, 1), 2)
@@ -65,13 +65,13 @@ def test_gate_spec_validation():
     ],
 )
 def test_gate_targets_must_be_integers(make):
-    with pytest.raises(GateSpecError):
+    with pytest.raises(IndexOutOfRange):
         make()
 
 
 def test_boolean_gate_targets_are_rejected():
     for make in (lambda: gate("x", True, 4), lambda: gate("cnot", (False, True), 2)):
-        with pytest.raises(GateSpecError):
+        with pytest.raises(IndexOutOfRange):
             make()
 
 

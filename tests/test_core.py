@@ -83,6 +83,23 @@ def test_intern_rejects_a_ragged_table_of_side_squared_cells(mgr):
         mgr.intern_layer(mgr.fork(), ((0, 1), (2,)))
 
 
+@pytest.mark.parametrize("table", [
+    ((0, 0), (0, 1.0)), ((0, True), (True, 0)), ((0, 1), (1.0, 0)), ((0, 1), (True, 0)),
+])
+def test_intern_rejects_entries_that_are_not_ints(mgr, table):
+    # 1.0 and True equal 1 and hash alike, so an interned copy would be
+    # returned for the int tables of H_1 and of the equality relation; a
+    # non-int entry is refused also where it repeats an earlier int
+    with pytest.raises(CanonicalOrderViolation):
+        mgr.intern_layer(mgr.fork(), table)
+    h2, eq = hadamard_family(mgr, 1), equality_relation(mgr, 1)
+    for f in (h2, eq):
+        assert all(type(entry) is int for row in f.top.table for entry in row)
+    assert evaluate(h2, (1, 1)) == Value(-1, 0)
+    assert evaluate(eq, (1, 1)) == Value(1, 0)
+    assert evaluate(eq, (0, 1)) == Value(0, 0)
+
+
 def scan_canonical_order(table):
     """Reference: scanning row-major, each new parent index must be the next."""
     next_new = 0
@@ -267,6 +284,8 @@ def test_validate_indistinguishable_states(mgr):
         (((1, 0), (0, 1)), 2, "2(iii) canonical order"),
         (((0, 2), (1, 0)), 3, "2(iii) canonical order"),
         (((0, 1), (1, 0)), 3, "state count"),
+        (((0, 1.0), (1, 0)), 2, "2(iii) canonical order"),
+        (((0, 1), (1.0, 0)), 2, "2(iii) canonical order"),
     ],
 )
 def test_validate_reports_a_bad_layer(mgr, table, num_states, constraint):

@@ -111,6 +111,7 @@ BAD_ARGUMENTS = [
     ("exact strings level -1", lambda m: exact_string_proto(m, -1), IndexOutOfRange),
     ("projection level -1", lambda m: projection(m, -1, 0), IndexOutOfRange),
     ("projection index 1.5", lambda m: projection(m, 2, 1.5), IndexOutOfRange),
+    ("projection index True", lambda m: projection(m, 2, True), IndexOutOfRange),
     ("truth table level -1", lambda m: from_truth_table(m, -1, [1]), IndexOutOfRange),
     ("hadamard level 0", lambda m: hadamard_family(m, 0), IndexOutOfRange),
     ("equality level 0", lambda m: equality_relation(m, 0), IndexOutOfRange),
@@ -134,6 +135,7 @@ BAD_ARGUMENTS = [
     ("dense projection level -1", lambda m: dense_projection(-1, 0), IndexOutOfRange),
     ("dense projection index -1", lambda m: dense_projection(2, -1), IndexOutOfRange),
     ("dense projection index 7", lambda m: dense_projection(2, 7), IndexOutOfRange),
+    ("dense projection index True", lambda m: dense_projection(2, True), IndexOutOfRange),
     ("dense table of 3 entries", lambda m: DenseFunction(1, (ZERO,), bytes(3)), ShapeMismatch),
     ("dense matrix level 0", lambda m: dense_to_matrix(dense_constant(0, 1)), ShapeMismatch),
     ("matrix to dense level 0", lambda m: matrix_to_dense([[1]], 0), ShapeMismatch),

@@ -24,6 +24,7 @@ from tidd import (
 )
 from tidd import linalg, ops
 from tidd.bench import run_benchmark
+from tidd.builders import exact_string_proto
 from tidd.core import first_occurrence
 from tidd.errors import LevelMismatch, ValueDomainError
 from tidd.ops import canonical_tidd, pair_product, reduce_stack, reduce_tidd
@@ -116,6 +117,18 @@ def test_reduce_stack_keeps_a_minimal_stack(mgr):
         top, maps = reduce_stack(f.top, classes)
         assert top is f.top and len(mgr._layers) == size  # no new layer
         assert maps == [tuple(range(layer.num_states)) for layer in f.top.stack()]
+
+
+def test_reduce_stack_numbers_states_with_ints(mgr):
+    # classes of 1.0 pass the first-occurrence check, as 1.0 == 1; the stack
+    # is reduced under the int numbers, so no float reaches a layer
+    top, maps = reduce_stack(exact_string_proto(mgr, 2), [0] + [1.0] * 15)
+    for layer in top.stack():
+        assert type(layer.num_states) is int
+        if not layer.is_leaf():
+            assert all(type(entry) is int for row in layer.table for entry in row)
+    assert all(type(c) is int for level_map in maps for c in level_map)
+    assert from_truth_table(mgr, 2, [0] + [1] * 15).top is top
 
 
 def test_reduce_merges_fork_to_dontcare(mgr):
