@@ -88,11 +88,15 @@ def check_canonical_order(table: Table) -> int:
     """Verify first-occurrence order; return the parent-state count.
 
     A table is canonical exactly when ``first_occurrence`` of its row-major
-    (type, entry) pairs gives (int, 0), (int, 1), (int, 2), ... in order.
+    (type, entry) pairs gives (int, 0), (int, 1), (int, 2), ... in order.  The
+    first pair that does not is reported: an entry's type, or its order.
     """
     _, keys = first_occurrence((type(entry), entry) for row in table for entry in row)
     for j, (kind, key) in enumerate(keys):
-        if kind is not int or key != j:
+        if kind is not int:
+            raise CanonicalOrderViolation(
+                f"parent index {key!r} is a {kind.__name__}, not an int")
+        if key != j:
             raise CanonicalOrderViolation(f"parent index {key} appears before index {j}")
     return len(keys)
 

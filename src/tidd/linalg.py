@@ -18,6 +18,23 @@ most one live triple (below) is so as built; two with distinct pairs are
 ordered by one comparison.  Only at level 1, on a repeated pair, or with
 three triples or more are they sorted and the weights of equal pairs added.
 
+Above level 1 a cell reads its left child sum only through the operand rows
+ta[qa] and tb[pa] of its triples, and its right child sum only through the
+columns at qb and pb.  So the rows and the columns of each operand table are
+numbered by ``first_occurrence``; a child sum's left key is its triples with
+(qa, pa) replaced by their row numbers, its right key the same with column
+numbers; and one cell is computed per pair of distinct keys, over the operand
+cores of distinct rows by distinct columns.  The core runs through the left
+keys in first-occurrence order, each over the right keys in that order, and
+that is the order in which the full table's cells first occur: a row whose
+key came earlier repeats an earlier row, and a column whose key came earlier
+repeats a cell already in its row.  So one ``first_occurrence`` over the core
+numbers the full table canonically, and the table is gathered from it, rows
+of one key sharing one tuple.  BV-64's widest table has side 256 but only 32
+distinct left keys and 8 right keys.  A table of side below ``KEY_SIDE``
+takes each child sum as its own key, since numbering costs more than it
+saves there.
+
 An operand state is dead when every context of it reaches a top value of 0:
 a top state whose value is 0, or a state below whose table row and column
 hold only dead states.  A canonical diagram has at most one per level (two
@@ -35,10 +52,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial, reduce
+from operator import itemgetter
 
 from .analysis import top_path_counts
 from .builders import equality_relation, from_truth_table
-from .core import MATMUL, MATMUL_STACK, SPAN, Layer, Manager, Tidd, evaluate
+from .core import (
+    MATMUL, MATMUL_STACK, SPAN, Layer, Manager, Tidd, evaluate, first_occurrence,
+)
 from .errors import (
     ManagerMismatch, ShapeMismatch, require_at_least, require_dense, require_index,
     require_power_of_two,
@@ -47,6 +67,13 @@ from .ops import apply, canonical_tidd, kronecker
 from .values import PLUS, TIMES, Value, ZERO, as_value
 
 TripleSum = tuple[tuple[int, int, int], ...]
+
+# The least product-table side whose cells are computed per key class.  CPU
+# seconds, median of 5 in one process with GC off, on a shared 2-core host
+# under Python 3.11, with the key classes from side 2, 4, 8, 16 and 32 up:
+# GHZ-512 0.257, 0.257, 0.234, 0.238 and 0.246 s; forty BV-16 runs 0.561,
+# 0.557, 0.514, 0.561 and 0.607 s.
+KEY_SIDE = 8
 
 
 @dataclass(frozen=True)
@@ -162,8 +189,9 @@ def _product_stack(
     """Product stack for two operand stacks, memoized on layers and dead states.
 
     ``dead_a`` and ``dead_b`` are the dead states of ``a`` and ``b``.  Returns
-    the product layer at their level and each state's formal sum; cells stream,
-    canonical as built, into ``Manager.intern_cells``.  ``matmul`` reads the top
+    the product layer at their level and each state's formal sum.  Level 1's
+    four cells stream, canonical as built, into ``Manager.intern_cells``; above,
+    ``_product_table`` builds the canonical table.  ``matmul`` reads the top
     pair under MATMUL, and each stack reads its child pair under MATMUL_STACK.
     """
     ta, tb = a.table, b.table
@@ -176,18 +204,50 @@ def _product_stack(
              if q not in dead_a and p not in dead_b]
             for i in range(2) for j in range(2)
         ))
+        layer, keys = mgr.intern_cells(child, cells)
     else:
         dead = (_dead_below(a, dead_a), _dead_below(b, dead_b))
         child, child_sums = mgr.memo(MATMUL_STACK, _product_stack, a.child, b.child, *dead)
-        cells = _cells(ta, tb, dead_a, dead_b, child_sums)
-    layer, keys = mgr.intern_cells(child, cells)
+        table, keys = _product_table(ta, tb, dead_a, dead_b, child_sums)
+        layer = mgr._intern(child, table, len(keys))
     return layer, tuple(mgr.triple_sums.setdefault(s, s) for s in keys)
 
 
-def _cells(ta, tb, dead_a, dead_b, child_sums):
-    """The canonical cells of a product layer above level 1, row-major."""
-    for rows in ([(ta[qa], tb[pa], wa) for qa, pa, wa in left] for left in child_sums):
-        for right in child_sums:
+def _classes(table):
+    """The ``first_occurrence`` numbers of ``table``'s rows and of its columns,
+    and its core: core[r][c] is the entry at each row numbered r, column c."""
+    rows, distinct = first_occurrence(table)
+    cols, core_cols = first_occurrence(zip(*distinct))
+    return rows, cols, tuple(zip(*core_cols))
+
+
+def _product_table(ta, tb, dead_a, dead_b, child_sums):
+    """The canonical table and distinct cells of a product layer above level 1,
+    one cell computed per (left key, right key) pair (module docstring)."""
+    # child sum i's left key is left_keys[lefts[i]], its right key right_keys[rights[i]]
+    if len(child_sums) < KEY_SIDE:  # each child sum is its own key
+        lefts = rights = range(len(child_sums))
+        core_a, core_b, left_keys, right_keys = ta, tb, child_sums, child_sums
+    else:
+        rows_a, cols_a, core_a = _classes(ta)
+        rows_b, cols_b, core_b = _classes(tb)
+        lefts, left_keys = first_occurrence(
+            tuple([(rows_a[q], rows_b[p], w) for q, p, w in s]) for s in child_sums)
+        rights, right_keys = first_occurrence(
+            tuple([(cols_a[q], cols_b[p], w) for q, p, w in s]) for s in child_sums)
+    numbers, keys = first_occurrence(_cells(core_a, core_b, dead_a, dead_b, left_keys, right_keys))
+    width = len(right_keys)
+    key_rows = [numbers[i:i + width] for i in range(0, len(numbers), width)]
+    if width < len(rights):
+        key_rows = list(map(itemgetter(*rights), key_rows))
+    return tuple(map(key_rows.__getitem__, lefts)), keys
+
+
+def _cells(ta, tb, dead_a, dead_b, left_keys, right_keys):
+    """The canonical cells of a product layer above level 1, row-major: one row
+    per left key and one column per right key, each a child sum or its key."""
+    for rows in ([(ta[qa], tb[pa], wa) for qa, pa, wa in left] for left in left_keys):
+        for right in right_keys:
             cell = []
             for ra, rb, wa in rows:
                 for qb, pb, wb in right:

@@ -1,6 +1,7 @@
 from collections import Counter
 from itertools import chain
 from random import Random
+import re
 
 import pytest
 
@@ -98,6 +99,19 @@ def test_intern_rejects_entries_that_are_not_ints(mgr, table):
     assert evaluate(h2, (1, 1)) == Value(-1, 0)
     assert evaluate(eq, (1, 1)) == Value(1, 0)
     assert evaluate(eq, (0, 1)) == Value(0, 0)
+
+
+@pytest.mark.parametrize("table, message", [
+    (((0, 0), (0, 1.0)), "parent index 1.0 is a float, not an int"),
+    (((0, True), (True, 0)), "parent index True is a bool, not an int"),
+    (((0, 1), (1.0, 0)), "parent index 1.0 is a float, not an int"),
+    (((0, 1), (2, 1.5)), "parent index 1.5 is a float, not an int"),
+    (((0, 2), (1, 1.0)), "parent index 2 appears before index 1"),
+])
+def test_canonical_order_check_names_an_entry_that_is_not_an_int(table, message):
+    # the first fault in row-major first occurrence is reported: a type, or an order
+    with pytest.raises(CanonicalOrderViolation, match=f"^{re.escape(message)}$"):
+        check_canonical_order(table)
 
 
 def scan_canonical_order(table):

@@ -32,6 +32,7 @@ from tidd.builders import constant, from_truth_table
 from tidd.core import MATMUL_STACK, Manager, dump
 from tidd.errors import OracleScaleLimit, ShapeMismatch, ValueDomainError
 from tidd.linalg import (
+    KEY_SIDE,
     MatrixTidd,
     VectorTidd,
     _dead_below,
@@ -290,6 +291,46 @@ def cell_branches(f, g):
 def test_random_matrices_take_every_cell_branch(mgr, branch):
     # the reference check above covers each branch of the cell kernel
     assert any(branch in cell_branches(f, g) for f, g in random_operand_pairs(mgr))
+
+
+def local_sum_pairs(mgr):
+    """Seeded pairs of 16-qubit local sums: five levels, deeper than the pairs above."""
+    rng = Random(48)
+    for _ in range(6):
+        yield random_local_sum(mgr, rng, 16).t, random_local_sum(mgr, rng, 16).t
+
+
+def key_classes(f, g):
+    """(side, distinct left keys, right keys, dead) per product table of f, g above level 1.
+
+    From the reference child sums: a left key reads the operand rows of a
+    sum's triples, a right key their columns, and ``dead`` tells whether
+    either operand has a dead state at that level.
+    """
+    dead_f, dead_g = dead_states(f), dead_states(g)
+    levels = reference_product_stack(f.top, g.top, dead_f, dead_g)
+    out = []
+    for la, lb, (_, sums) in zip(f.top.stack()[2:], g.top.stack()[2:], levels):
+        ta, tb = la.table, lb.table
+        lefts = {tuple((ta[q], tb[p], w) for q, p, w in s) for s in sums}
+        columns_a, columns_b = list(zip(*ta)), list(zip(*tb))
+        rights = {tuple((columns_a[q], columns_b[p], w) for q, p, w in s) for s in sums}
+        out.append((len(sums), len(lefts), len(rights),
+                    bool(dead_f[la.level] or dead_g[lb.level])))
+    return out
+
+
+def test_product_stack_matches_reference_on_repeated_rows_and_columns(mgr):
+    for f, g in local_sum_pairs(mgr):
+        assert_stack_matches_reference(f, g)
+
+
+def test_local_sums_take_the_key_path_with_repeated_rows_and_columns(mgr):
+    # each pair of the reference check above has a table of side KEY_SIDE or
+    # more, with fewer distinct left and right keys than its side, beside a dead state
+    for f, g in local_sum_pairs(mgr):
+        assert any(side >= KEY_SIDE and left < side and right < side and dead
+                   for side, left, right, dead in key_classes(f, g))
 
 
 def circuit_operand_pairs(mgr, algo, qubits=8, seed=0):
